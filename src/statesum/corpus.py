@@ -14,6 +14,7 @@ import math
 import os
 import random
 import zipfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -113,16 +114,25 @@ class PredictionRecord:
     predicted_state: DialogueState | None = None
 
 
-def write_atomic(path: str | Path, text: str) -> None:
-    """Write a small text file via temp + rename so readers never see a partial."""
+@contextmanager
+def _open_atomic(path: str | Path):
+    """Yield a text handle on ``<path>.tmp``; on success the temp file replaces
+    ``path``, on any failure it is deleted, so readers never see a partial."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_text(text, "utf-8")
+        with open(tmp, "w", encoding="utf-8") as handle:
+            yield handle
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_atomic(path: str | Path, text: str) -> None:
+    """Write a small text file via temp + rename so readers never see a partial."""
+    with _open_atomic(path) as handle:
+        handle.write(text)
 
 
 # -- raw archive loading -----------------------------------------------------
@@ -389,35 +399,26 @@ def export_training_file(
     if missing:
         raise CorpusError(f"split references unknown dialogues: {', '.join(missing[:5])}")
 
-    out = Path(out)
-    tmp = out.with_name(out.name + ".tmp")
     written = 0
-    try:
-        with open(tmp, "w", encoding="utf-8") as handle:
-            for dialogue_id in sorted(roles):
-                dialogue = by_id[dialogue_id]
-                labels = dict(synthesize_labels(dialogue, ontology, cfg, split.seed))
-                for turn in dialogue.turns:
-                    collisions = reserved_collisions(turn.state, ontology)
-                    if collisions:
-                        diags.append(
-                            f"{dialogue_id}/{turn.index}: skipped, {'; '.join(collisions)}"
-                        )
-                        continue
-                    record = {
-                        "dialogue_id": dialogue_id,
-                        "turn_index": turn.index,
-                        "split_role": roles[dialogue_id],
-                        "history": turn.history_text,
-                        "gold_summary": labels[turn.index],
-                        "gold_state": dict(turn.state),
-                    }
-                    handle.write(json.dumps(record, ensure_ascii=False) + "\n")
-                    written += 1
-        os.replace(tmp, out)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with _open_atomic(out) as handle:
+        for dialogue_id in sorted(roles):
+            dialogue = by_id[dialogue_id]
+            labels = dict(synthesize_labels(dialogue, ontology, cfg, split.seed))
+            for turn in dialogue.turns:
+                collisions = reserved_collisions(turn.state, ontology)
+                if collisions:
+                    diags.append(f"{dialogue_id}/{turn.index}: skipped, {'; '.join(collisions)}")
+                    continue
+                record = {
+                    "dialogue_id": dialogue_id,
+                    "turn_index": turn.index,
+                    "split_role": roles[dialogue_id],
+                    "history": turn.history_text,
+                    "gold_summary": labels[turn.index],
+                    "gold_state": dict(turn.state),
+                }
+                handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+                written += 1
     if diags:
         log.info("export skipped %d turns with reserved-phrase collisions", len(diags))
     return written

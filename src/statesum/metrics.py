@@ -92,7 +92,7 @@ def joint_goal_accuracy(
         raise ValueError("joint goal accuracy is undefined for zero turns")
     correct = 0
     for predicted, gold in pairs:
-        if domain_filter is not None:
+        if domain_filter is not None and predicted != gold:
             predicted = _restrict(predicted, domain_filter)
             gold = _restrict(gold, domain_filter)
         correct += predicted == gold
@@ -130,40 +130,12 @@ def _ngram_counts(tokens: list[str], n: int) -> Counter:
     return Counter(zip(*(tokens[i:] for i in range(n))))
 
 
-def _clipped_overlap(cand_counts: Counter, ref_counts: Counter) -> int:
-    if cand_counts == ref_counts:
-        return sum(cand_counts.values())
-    return sum(min(c, ref_counts[g]) for g, c in cand_counts.items())
-
-
-class _BleuTally:
-    """Running corpus-level BLEU statistics over (candidate, reference) pairs."""
-
-    def __init__(self):
-        self.clipped = [0, 0, 0, 0]
-        self.totals = [0, 0, 0, 0]
-        self.cand_len = 0
-        self.ref_len = 0
-
-    def add(self, cand_grams: dict[int, Counter], ref_grams: dict[int, Counter],
-            cand_len: int, ref_len: int) -> None:
-        self.cand_len += cand_len
-        self.ref_len += ref_len
-        for n in range(1, 5):
-            self.totals[n - 1] += max(cand_len - n + 1, 0)
-            self.clipped[n - 1] += _clipped_overlap(cand_grams[n], ref_grams[n])
-
-    def score(self) -> float:
-        if self.cand_len == 0:
-            return 0.0
-        log_precision = 0.0
-        for clipped, total in zip(self.clipped, self.totals):
-            numerator = clipped if clipped > 0 else _BLEU_EPS
-            log_precision += 0.25 * math.log(numerator / (total if total > 0 else 1))
-        brevity = 1.0 if self.cand_len > self.ref_len else math.exp(
-            1.0 - self.ref_len / self.cand_len
-        )
-        return brevity * math.exp(log_precision)
+def _clipped_overlap(cand_tokens: list[str], ref_tokens: list[str], n: int) -> int:
+    """Candidate n-grams matched in the reference, each clipped to its count there."""
+    if cand_tokens == ref_tokens:
+        return max(len(cand_tokens) - n + 1, 0)
+    ref_counts = _ngram_counts(ref_tokens, n)
+    return sum(min(c, ref_counts[g]) for g, c in _ngram_counts(cand_tokens, n).items())
 
 
 def bleu4(candidates: list[str], references: list[str]) -> float:
@@ -173,40 +145,43 @@ def bleu4(candidates: list[str], references: list[str]) -> float:
         raise ValueError("candidates and references must have equal length")
     if not candidates:
         raise ValueError("BLEU is undefined for an empty corpus")
-    tally = _BleuTally()
+    clipped = [0, 0, 0, 0]
+    totals = [0, 0, 0, 0]
+    cand_len = ref_len = 0
     for candidate, reference in zip(candidates, references):
         cand_tokens = candidate.split()
-        ref_tokens = reference.split()
-        tally.add(
-            {n: _ngram_counts(cand_tokens, n) for n in range(1, 5)},
-            {n: _ngram_counts(ref_tokens, n) for n in range(1, 5)},
-            len(cand_tokens),
-            len(ref_tokens),
-        )
-    return tally.score()
-
-
-def _rouge_from_counts(cand_counts: Counter, ref_counts: Counter) -> float:
-    cand_total = sum(cand_counts.values())
-    ref_total = sum(ref_counts.values())
-    if cand_total == 0 or ref_total == 0:
-        return 1.0 if cand_counts == ref_counts else 0.0
-    matched = _clipped_overlap(cand_counts, ref_counts)
-    if matched == 0:
+        ref_tokens = cand_tokens if candidate == reference else reference.split()
+        cand_len += len(cand_tokens)
+        ref_len += len(ref_tokens)
+        for n in range(1, 5):
+            totals[n - 1] += max(len(cand_tokens) - n + 1, 0)
+            clipped[n - 1] += _clipped_overlap(cand_tokens, ref_tokens, n)
+    if cand_len == 0:
         return 0.0
-    precision = matched / cand_total
-    recall = matched / ref_total
-    return 2 * precision * recall / (precision + recall)
+    log_precision = 0.0
+    for matched, total in zip(clipped, totals):
+        numerator = matched if matched > 0 else _BLEU_EPS
+        log_precision += 0.25 * math.log(numerator / (total if total > 0 else 1))
+    brevity = 1.0 if cand_len > ref_len else math.exp(1.0 - ref_len / cand_len)
+    return brevity * math.exp(log_precision)
 
 
 def rouge_n_f1(candidate: str, reference: str, n: int) -> float:
     """F1 of clipped n-gram overlap; whitespace tokens after lowercasing."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _rouge_from_counts(
-        _ngram_counts(candidate.lower().split(), n),
-        _ngram_counts(reference.lower().split(), n),
-    )
+    cand_tokens = candidate.lower().split()
+    ref_tokens = cand_tokens if candidate == reference else reference.lower().split()
+    cand_total = max(len(cand_tokens) - n + 1, 0)
+    ref_total = max(len(ref_tokens) - n + 1, 0)
+    if cand_total == 0 or ref_total == 0:
+        return 1.0 if cand_total == ref_total else 0.0
+    matched = _clipped_overlap(cand_tokens, ref_tokens, n)
+    if matched == 0:
+        return 0.0
+    precision = matched / cand_total
+    recall = matched / ref_total
+    return 2 * precision * recall / (precision + recall)
 
 
 # -- error taxonomy -------------------------------------------------------------
@@ -308,8 +283,11 @@ def evaluate_run(
     """Parse and score a prediction file against the corpus gold states.
 
     Each predicted summary is parsed exactly once. Gold summaries (for the
-    text-overlap metrics) are synthesized with canonical domain order, which
-    the report records.
+    text-overlap metrics) are rendered with canonical domain order, which the
+    report records. Each report field is computed by the public function of
+    the same name, over the (predicted, gold) state pairs or the predicted and
+    gold summaries in (dialogue_id, turn_index) order; ``rouge_n_f1`` is the
+    per-turn mean and ``error_counts`` tallies ``classify_errors``.
     """
     diagnostics: list[str] = []
     records: list[PredictionRecord] = load_predictions(predictions_path, diagnostics)
@@ -328,55 +306,18 @@ def evaluate_run(
     extractor = StateExtractor(ontology)
     gold_cfg = replace(cfg, domain_order="canonical")
     pairs = []
-    bleu_tally = _BleuTally()
-    rouge_sums = {1: 0.0, 2: 0.0, 4: 0.0}
-    jga_hits = 0
-    domain_hits = {domain: 0 for domain in ontology.domains}
-    error_counts = Counter({kind: 0 for kind in ERROR_KINDS})
+    candidates = []
+    references = []
+    error_counts = dict.fromkeys(ERROR_KINDS, 0)
     per_turn_diagnostics = []
-
-    def by_domain(state: DialogueState) -> dict[str, dict]:
-        grouped: dict[str, dict] = {domain: {} for domain in domain_hits}
-        for slot, value in state.items():
-            grouped.setdefault(slot.split("-", 1)[0], {})[slot] = value
-        return grouped
-
     records.sort(key=lambda r: (r.dialogue_id, r.turn_index))
     for record in records:
         turn = turns[(record.dialogue_id, record.turn_index)]
         parsed = extractor.parse(record.predicted_summary, cfg)
         record.predicted_state = parsed.state
-        gold_summary = state_to_summary(turn.state, ontology, gold_cfg)
-
         pairs.append((parsed.state, turn.state))
-        if parsed.state == turn.state:
-            jga_hits += 1
-            for domain in domain_hits:
-                domain_hits[domain] += 1
-        else:
-            predicted_grouped = by_domain(parsed.state)
-            gold_grouped = by_domain(turn.state)
-            for domain in domain_hits:
-                domain_hits[domain] += predicted_grouped[domain] == gold_grouped[domain]
-
-        cand_tokens = record.predicted_summary.split()
-        cand_grams = {n: _ngram_counts(cand_tokens, n) for n in range(1, 5)}
-        if record.predicted_summary == gold_summary:
-            ref_tokens, ref_grams = cand_tokens, cand_grams
-        else:
-            ref_tokens = gold_summary.split()
-            ref_grams = {n: _ngram_counts(ref_tokens, n) for n in range(1, 5)}
-        bleu_tally.add(cand_grams, ref_grams, len(cand_tokens), len(ref_tokens))
-        cand_lower = record.predicted_summary.lower().split()
-        cand_lower_grams = {n: _ngram_counts(cand_lower, n) for n in rouge_sums}
-        if record.predicted_summary == gold_summary:
-            ref_lower_grams = cand_lower_grams
-        else:
-            ref_lower = gold_summary.lower().split()
-            ref_lower_grams = {n: _ngram_counts(ref_lower, n) for n in rouge_sums}
-        for n in rouge_sums:
-            rouge_sums[n] += _rouge_from_counts(cand_lower_grams[n], ref_lower_grams[n])
-
+        candidates.append(record.predicted_summary)
+        references.append(state_to_summary(turn.state, ontology, gold_cfg))
         for error in classify_errors(parsed.state, turn.state, ontology):
             error_counts[error.kind] += 1
         if parsed.diagnostics:
@@ -394,17 +335,22 @@ def evaluate_run(
     if not pairs:
         raise EvaluationError("prediction file contains no records")
 
+    # A running sum in record order: sum() rounds differently on Python 3.12+.
+    rouge_sums = {1: 0.0, 2: 0.0, 4: 0.0}
+    for candidate, reference in zip(candidates, references):
+        for n in rouge_sums:
+            rouge_sums[n] += rouge_n_f1(candidate, reference, n)
     true_acc, none_acc = slot_accuracy(pairs, ontology)
     report = Report(
         n_turns=len(pairs),
         n_parses=extractor.parses,
-        all_domain_jga=jga_hits / len(pairs),
-        per_domain_jga={d: hits / len(pairs) for d, hits in domain_hits.items()},
+        all_domain_jga=joint_goal_accuracy(pairs),
+        per_domain_jga={d: joint_goal_accuracy(pairs, d) for d in ontology.domains},
         slot_true_acc=true_acc,
         slot_none_acc=none_acc,
-        bleu4=bleu_tally.score(),
-        rouge_n_f1={n: rouge_sums[n] / len(pairs) for n in rouge_sums},
-        error_counts=dict(error_counts),
+        bleu4=bleu4(candidates, references),
+        rouge_n_f1={n: total / len(pairs) for n, total in rouge_sums.items()},
+        error_counts=error_counts,
         gold_summary_domain_order="canonical",
         diagnostics=diagnostics,
     )

@@ -79,23 +79,6 @@ def render_slot_phrase(spec: SlotSpec, value: str) -> str:
     return spec.phrase_template.format(**fields)
 
 
-def _ordered_main_specs(domain: DomainSpec, partial: DialogueState) -> list[SlotSpec]:
-    specs = [
-        domain.slot(name)
-        for name in partial
-        if not domain.slot(name).clause and partial[name] != DONTCARE
-    ]
-    specs.sort(key=lambda s: s.canonical_position)
-    # A fronted phrase ("which is an entertainment") jumps ahead of the rest
-    # of the sentence when its value takes "an".
-    fronted = [
-        s for s in specs
-        if s.front_when_an and article_for(partial[s.slot_name]) == "an"
-    ]
-    rest = [s for s in specs if s not in fronted]
-    return fronted + rest
-
-
 def render_domain_sentence(
     domain: DomainSpec,
     partial: DialogueState,
@@ -106,32 +89,27 @@ def render_domain_sentence(
     """Render one domain's slice of the state into a full sentence."""
     if not partial:
         raise ValueError("cannot render an empty domain state")
-    for name in partial:
-        try:
-            domain.slot(name)
-        except KeyError:
-            raise ValueError(f"slot {name!r} does not belong to domain {domain.domain_name!r}")
+    # domain.slots is in canonical order, so one walk yields every phrase list sorted.
+    specs = [spec for spec in domain.slots if spec.slot_name in partial]
+    if len(specs) != len(partial):
+        known = {spec.slot_name for spec in specs}
+        name = next(name for name in partial if name not in known)
+        raise ValueError(f"slot {name!r} does not belong to domain {domain.domain_name!r}")
 
-    main = [
-        render_slot_phrase(spec, partial[spec.slot_name])
-        for spec in _ordered_main_specs(domain, partial)
-    ]
-    clause_specs = sorted(
-        (
-            domain.slot(name)
-            for name in partial
-            if domain.slot(name).clause and partial[name] != DONTCARE
-        ),
-        key=lambda s: s.canonical_position,
-    )
-    clauses = [render_slot_phrase(spec, partial[spec.slot_name]) for spec in clause_specs]
-    dontcare_nouns = [
-        spec.dontcare_noun
-        for spec in sorted(
-            (domain.slot(n) for n in partial if partial[n] == DONTCARE),
-            key=lambda s: s.canonical_position,
-        )
-    ]
+    dontcare_nouns, clauses, fronted, main = [], [], [], []
+    for spec in specs:
+        value = partial[spec.slot_name]
+        if value == DONTCARE:
+            dontcare_nouns.append(spec.dontcare_noun)
+        elif spec.clause:
+            clauses.append(render_slot_phrase(spec, value))
+        # A fronted phrase ("which is an entertainment") jumps ahead of the
+        # rest of the sentence when its value takes "an".
+        elif spec.front_when_an and article_for(value) == "an":
+            fronted.append(render_slot_phrase(spec, value))
+        else:
+            main.append(render_slot_phrase(spec, value))
+    main = fronted + main
 
     body = domain.noun_phrase
     if main:

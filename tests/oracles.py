@@ -56,4 +56,11 @@ ROUGE_HAND_CASES = [
     ("a b", "a b c d", 1, 2 / 3),
     # 4-grams: match 1: P=1/2, R=1/1 -> F1=2/3.
     ("a b c d e", "a b c d", 4, 2 / 3),
+    # identical texts: every n-gram matches, repeats included: P=R=1.
+    ("a a b a", "a a b a", 1, 1.0),
+    ("a b c d e", "a b c d e", 4, 1.0),
+    # texts that differ only by case match in full after lowercasing.
+    ("The Cat sat", "the cat SAT", 2, 1.0),
+    # case-only difference, then one differing unigram: match 2 of 3: P=R=2/3.
+    ("The Cat sat", "the cat ran", 1, 2 / 3),
 ]

@@ -15,6 +15,7 @@ from statesum import (
     load_predictions,
     sample_fewshot,
 )
+from statesum import corpus as corpus_module
 from statesum.corpus import Corpus, Dialogue, normalize_raw_value
 from statesum.destate import parse_summary
 
@@ -270,6 +271,26 @@ def test_export_failure_leaves_no_partial_file(mini_corpus, ont, tmp_path):
     with pytest.raises(OSError):
         export_training_file(split, mini_corpus, ont, out=missing_dir / "x.jsonl")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_export_failure_mid_write_keeps_previous_output(mini_corpus, ont, tmp_path, monkeypatch):
+    split = sample_fewshot(mini_corpus, "md", ratio=1.0, seed=11)
+    out = tmp_path / "labels.jsonl"
+    out.write_text("previous export\n", "utf-8")
+    synthesize_labels = corpus_module.synthesize_labels
+    calls = []
+
+    def failing_labels(*args):
+        calls.append(args)
+        if len(calls) == 3:  # after two dialogues' records went to the handle
+            raise RuntimeError("render failed")
+        return synthesize_labels(*args)
+
+    monkeypatch.setattr(corpus_module, "synthesize_labels", failing_labels)
+    with pytest.raises(RuntimeError, match="render failed"):
+        export_training_file(split, mini_corpus, ont, out=out)
+    assert list(tmp_path.iterdir()) == [out]
+    assert out.read_text("utf-8") == "previous export\n"
 
 
 def test_export_unknown_dialogue(mini_corpus, ont, tmp_path):

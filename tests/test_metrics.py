@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -56,14 +57,23 @@ def _jga_suite():
 def test_jga_domain_filter_matches_brute_force():
     pairs = _jga_suite()
 
-    def restrict(state):
-        return {k: v for k, v in state.items() if k.startswith("attraction-")}
+    def restrict(state, domain="attraction"):
+        return {k: v for k, v in state.items() if k.startswith(domain + "-")}
 
     expected = sum(restrict(p) == restrict(g) for p, g in pairs) / len(pairs)
     assert expected == 0.5  # turns 1, 2, 3 and the vacuous turn 5
     assert joint_goal_accuracy(pairs, domain_filter="attraction") == expected
     full = sum(p == g for p, g in pairs) / len(pairs)
     assert joint_goal_accuracy(pairs) == full == 0.25
+
+    # Equal pairs, multi-domain and empty, are hits under every filter.
+    both = {"attraction-area": "north", "train-day": "monday"}
+    pairs += [(dict(both), dict(both)), ({}, {})]
+    for domain in ("attraction", "train", "hotel"):
+        expected = sum(
+            restrict(p, domain) == restrict(g, domain) for p, g in pairs
+        ) / len(pairs)
+        assert joint_goal_accuracy(pairs, domain_filter=domain) == expected
 
 
 def test_jga_empty_pairs_rejected():
@@ -143,7 +153,9 @@ def test_bleu_no_shared_fourgram_hits_smoothing_floor():
 
 
 def test_bleu_matches_independent_implementation(ont):
-    pairs = bleu_probe_pairs(ont)
+    probes = bleu_probe_pairs(ont)
+    # Identical pairs mixed in among differing ones take the equal-text path.
+    pairs = probes + [(r, r) if i % 3 else (c, r) for i, (c, r) in enumerate(probes)]
     candidates = [c for c, _ in pairs]
     references = [r for _, r in pairs]
     assert bleu4(candidates, references) == pytest.approx(
@@ -180,7 +192,12 @@ def test_rouge_hand_computed(candidate, reference, n, expected):
 
 def test_rouge_degenerate_lengths():
     assert rouge_n_f1("a b", "a b", 4) == 1.0  # no 4-grams on either side
+    assert rouge_n_f1("A b", "a B", 4) == 1.0
     assert rouge_n_f1("a b c d", "a b", 4) == 0.0
+    assert rouge_n_f1("a b", "a b c d", 4) == 0.0
+    assert rouge_n_f1("", "", 1) == 1.0
+    assert rouge_n_f1("", "a b", 1) == 0.0
+    assert rouge_n_f1("a b", "", 1) == 0.0
     with pytest.raises(ValueError):
         rouge_n_f1("a", "a", 0)
 
@@ -403,3 +420,17 @@ def test_report_bounds(mini_corpus, ont, tmp_path):
     ]
     assert all(0.0 <= v <= 1.0 for v in values)
     assert sum(report.error_counts.values()) >= 1
+
+
+GOLDEN_EVAL = Path(__file__).parent / "data" / "golden_eval"
+
+
+def test_evaluate_run_reproduces_golden_report(mini_corpus, ont, tmp_path):
+    # The fixture's predictions mix exact renders, lowercased text, a dropped
+    # word, an empty summary, a 3-token summary, off-script text, a shuffled
+    # domain order, a wrong value and a duplicate record; the expected files
+    # are frozen outputs, so any change to a score shows as a byte diff.
+    out, diag = tmp_path / "report.json", tmp_path / "diagnostics.jsonl"
+    evaluate_run(GOLDEN_EVAL / "predictions.jsonl", mini_corpus, ont, out=out, diagnostics_out=diag)
+    assert out.read_bytes() == (GOLDEN_EVAL / "report.json").read_bytes()
+    assert diag.read_bytes() == (GOLDEN_EVAL / "diagnostics.jsonl").read_bytes()
