@@ -8,6 +8,7 @@ normalized to ``"<domain>-<slot>"`` and values to the converter's conventions.
 
 from __future__ import annotations
 
+import gc
 import json
 import logging
 import math
@@ -161,6 +162,9 @@ def _state_from_metadata(metadata: dict) -> DialogueState:
         if not isinstance(annotation, dict):
             continue
         for raw_key, raw_value in (annotation.get("semi") or {}).items():
+            # Most raw values are exact blanks, which normalize to None.
+            if isinstance(raw_value, str) and raw_value in _NONE_VALUES:
+                continue
             key = str(raw_key).lower()
             key = _SLOT_ALIASES.get(key, key)
             slot_name = f"{domain}-{key}"
@@ -169,6 +173,8 @@ def _state_from_metadata(metadata: dict) -> DialogueState:
                 state[slot_name] = value
         for raw_key, raw_value in (annotation.get("book") or {}).items():
             if raw_key == "booked":
+                continue
+            if isinstance(raw_value, str) and raw_value in _NONE_VALUES:
                 continue
             key = str(raw_key).lower()
             slot_name = f"{domain}-book {key}"
@@ -254,17 +260,42 @@ def _locate(names) -> dict[str, str]:
     return found
 
 
+@contextmanager
+def _collector_paused():
+    """Disable the cyclic garbage collector for the block, then restore its state."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def load_multiwoz(path: str | Path, version: str = "2.1") -> Corpus:
     """Load a raw archive into per-split dialogues with normalized states.
 
     Dialogues annotated only with unsupported domains are dropped; malformed
-    records are skipped and counted in the corpus diagnostics.
+    records are skipped and counted in the corpus diagnostics. The cyclic
+    garbage collector is paused process-wide during the load, so cyclic
+    garbage of other threads waits until the load returns; the collector's
+    previous state is then restored.
     """
     if version not in SUPPORTED_VERSIONS:
         raise CorpusError(f"unsupported version {version!r}; expected one of {SUPPORTED_VERSIONS}")
     path = Path(path)
     if not path.exists():
         raise CorpusError(f"{path}: no such file or directory")
+    # The load allocates millions of containers, and every collector pass would
+    # walk the growing parsed document again. Neither that document nor the
+    # Turn/Dialogue/Corpus objects hold reference cycles, so reference counting
+    # frees all of it. The pause must last until the raw document is gone: a
+    # collection soon after re-enabling would walk the whole tree once more.
+    with _collector_paused():
+        return _load_archive(path, version)
+
+
+def _load_archive(path: Path, version: str) -> Corpus:
     data, dev_ids, test_ids = _read_archive(path)
 
     diagnostics: list[str] = []

@@ -57,7 +57,8 @@ def _boundary_phrases(plan: ParaphrasePlan) -> tuple[str, ...]:
     phrases.add(plan.plain_subject)
     # Model output may capitalize a continuation subject.
     phrases.update(p[0].upper() + p[1:] for p in tuple(phrases))
-    return tuple(sorted(phrases, key=len, reverse=True))
+    # Longest first for the regex; ties by text, so the order is fixed.
+    return tuple(sorted(phrases, key=lambda p: (-len(p), p)))
 
 
 class StateExtractor:
@@ -88,15 +89,15 @@ class StateExtractor:
         self._reserved = self._build_reserved()
 
     def _build_reserved(self) -> tuple[str, ...]:
-        reserved = set(VALUE_TERMINATORS)
-        reserved.update(_boundary_phrases(self.plan))
-        reserved.add(self.plan.dontcare_marker)
+        reserved = [*VALUE_TERMINATORS, *_boundary_phrases(self.plan), self.plan.dontcare_marker]
         for domain in self.ontology.domains.values():
             for spec in domain.slots:
                 if spec.match_prefix:
-                    reserved.add(spec.match_prefix)
-                reserved.update(spec.match_boolean)
-        return tuple(reserved)
+                    reserved.append(spec.match_prefix)
+                reserved.extend(spec.match_boolean)
+        # Deduplicated in list order, not through a set: a skip diagnostic names
+        # the first phrase found, which must not depend on the string hash seed.
+        return tuple(dict.fromkeys(reserved))
 
     # -- splitting ---------------------------------------------------------
 

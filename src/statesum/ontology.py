@@ -255,8 +255,11 @@ def _build_ontology(doc: dict) -> Ontology:
     return Ontology(domains=domains, value_pools=pools)
 
 
-class _StrictLoader(yaml.SafeLoader):
-    """SafeLoader that rejects duplicate mapping keys instead of merging them."""
+class _StrictLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """SafeLoader that rejects duplicate mapping keys instead of merging them.
+
+    It uses libyaml's parser when PyYAML was built with it, else the pure-Python one.
+    """
 
 
 def _construct_unique_mapping(loader, node, deep=False):

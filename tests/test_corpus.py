@@ -1,3 +1,4 @@
+import gc
 import json
 import time
 import zipfile
@@ -16,7 +17,13 @@ from statesum import (
     sample_fewshot,
 )
 from statesum import corpus as corpus_module
-from statesum.corpus import Corpus, Dialogue, normalize_raw_value
+from statesum.corpus import (
+    SUPPORTED_DOMAINS,
+    Corpus,
+    Dialogue,
+    _state_from_metadata,
+    normalize_raw_value,
+)
 from statesum.destate import parse_summary
 
 from conftest import FIXTURE_CORPUS
@@ -89,6 +96,69 @@ def test_normalize_raw_value():
     assert normalize_raw_value([]) is None
     assert normalize_raw_value("free", "hotel-parking") == "yes"
     assert normalize_raw_value("free", "restaurant-food") == "free"
+
+
+def test_blank_value_skip_changes_no_state():
+    # Every raw value shape, in both blocks of two domains, against a reference
+    # that sends each value through normalize_raw_value.
+    semi = {
+        "name": "", "area": "none", "food": "not mentioned", "type": "not-mentioned",
+        "pricerange": "Not Mentioned", "stars": " none ", "department": "None",
+        "leaveAt": ["not mentioned"], "arriveBy": [], "destination": None,
+        "departure": 3, "parking": "free", "internet": "Free", "day": "Don't Care",
+        "price range": "cheap", "leave at": ["11:30", "12:00"], "Arrive By": " 10:15. ",
+    }
+    book = {
+        "booked": [{"name": "x", "reference": "ABC"}], "people": "3", "day": "",
+        "stay": "not mentioned", "time": "Not-Mentioned", "Ref": ["none"], "stars": 4,
+    }
+    metadata = {
+        "hotel": {"semi": semi, "book": book},
+        "train": {"semi": dict(reversed(semi.items())), "book": dict(reversed(book.items()))},
+        "police": {"semi": {"area": "centre"}},
+    }
+    expected = {}
+    for domain in SUPPORTED_DOMAINS:
+        annotation = metadata.get(domain, {})
+        for raw_key, raw_value in annotation.get("semi", {}).items():
+            key = raw_key.lower()
+            key = corpus_module._SLOT_ALIASES.get(key, key)
+            value = normalize_raw_value(raw_value, f"{domain}-{key}")
+            if value is not None:
+                expected[f"{domain}-{key}"] = value
+        for raw_key, raw_value in annotation.get("book", {}).items():
+            if raw_key != "booked":
+                value = normalize_raw_value(raw_value, f"{domain}-book {raw_key.lower()}")
+                if value is not None:
+                    expected[f"{domain}-book {raw_key.lower()}"] = value
+    state = _state_from_metadata(metadata)
+    assert list(state.items()) == list(expected.items())
+    assert state["hotel-parking"] == "yes" and state["hotel-internet"] == "yes"
+    assert state["hotel-day"] == DONTCARE and state["hotel-book people"] == "3"
+    assert state["hotel-pricerange"] == state["train-pricerange"] == "cheap"
+    assert state["hotel-leaveat"] == "11:30" and "hotel-stars" not in state
+
+
+@pytest.mark.parametrize("enabled_before", [True, False])
+def test_load_restores_collector_state(enabled_before):
+    try:
+        if enabled_before:
+            gc.enable()
+        else:
+            gc.disable()
+        load_multiwoz(FIXTURE_CORPUS)
+        assert gc.isenabled() is enabled_before
+    finally:
+        gc.enable()
+
+
+def test_failed_load_restores_collector_state(tmp_path):
+    # Only data.json: the archive check raises inside the collector pause.
+    (tmp_path / "data.json").write_text("{}")
+    assert gc.isenabled()
+    with pytest.raises(CorpusError, match="missing"):
+        load_multiwoz(tmp_path)
+    assert gc.isenabled()
 
 
 def test_history_format(mini_corpus):

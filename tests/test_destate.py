@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import statesum
 from statesum import (
     DONTCARE,
     TemplateConfig,
@@ -180,6 +186,29 @@ def test_reserved_collisions(ont):
     assert reserved_collisions({"train-book people": "three"}, ont)
     assert not reserved_collisions({"train-book people": "3"}, ont)
     assert not reserved_collisions({"hotel-area": DONTCARE}, ont)
+
+
+def test_reserved_collisions_do_not_depend_on_hash_seed():
+    # Each value holds several reserved phrases; the diagnostic names the first
+    # one the guard tries, so that order must be fixed across processes.
+    script = (
+        "from statesum import default_ontology, reserved_collisions\n"
+        "print(reserved_collisions({'restaurant-name': 'bar and grill for people at noon',"
+        " 'hotel-name': 'he looks forward He looks forward',"
+        " 'attraction-name': 'the user is looking forward The user is looking forward'},"
+        " default_ontology()))\n"
+    )
+    src = str(Path(statesum.__file__).resolve().parents[1])
+    outputs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+        )
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count("contains") == 3
 
 
 def test_value_pools_are_collision_free(ont):
