@@ -78,24 +78,28 @@ class Report:
 # -- state-level metrics -------------------------------------------------------
 
 
-def _restrict(state: DialogueState, domain: str) -> DialogueState:
-    prefix = domain + "-"
-    return {k: v for k, v in state.items() if k.startswith(prefix)}
-
-
 def joint_goal_accuracy(
     pairs: list[tuple[DialogueState, DialogueState]],
     domain_filter: str | None = None,
 ) -> float:
-    """Fraction of (predicted, gold) pairs that match exactly as sets."""
+    """Fraction of (predicted, gold) pairs that match exactly as sets.
+
+    With ``domain_filter``, a pair matches when both states agree on every
+    slot named ``domain_filter + "-..."``, i.e. when no item of the symmetric
+    difference of their item sets is such a slot. State values must therefore
+    be hashable, as they are in a ``DialogueState`` (str to str).
+    """
     if not pairs:
         raise ValueError("joint goal accuracy is undefined for zero turns")
+    prefix = None if domain_filter is None else domain_filter + "-"
     correct = 0
     for predicted, gold in pairs:
-        if domain_filter is not None and predicted != gold:
-            predicted = _restrict(predicted, domain_filter)
-            gold = _restrict(gold, domain_filter)
-        correct += predicted == gold
+        if predicted == gold:
+            correct += 1
+        elif prefix is not None:
+            correct += not any(
+                slot.startswith(prefix) for slot, _ in predicted.items() ^ gold.items()
+            )
     return correct / len(pairs)
 
 
@@ -124,18 +128,40 @@ def slot_accuracy(
 # -- n-gram overlap metrics ------------------------------------------------------
 
 
-def _ngram_counts(tokens: list[str], n: int) -> Counter:
-    if n == 1:
-        return Counter(tokens)
-    return Counter(zip(*(tokens[i:] for i in range(n))))
-
-
 def _clipped_overlap(cand_tokens: list[str], ref_tokens: list[str], n: int) -> int:
-    """Candidate n-grams matched in the reference, each clipped to its count there."""
+    """Candidate n-grams matched in the reference, each clipped to its count there.
+
+    Every n-gram lying wholly inside the common token prefix, or wholly inside
+    the common suffix (capped so the two do not overlap), occurs at the same
+    place on both sides, so it matches: there are ``start = max(prefix-n+1, 0)``
+    and ``cut = max(suffix-n+1, 0)`` of them. The overlap is those plus the
+    clipped overlap of ``tokens[start : len-cut]`` on each side, which is exact
+    because a multiset added to both sides adds its size to the clipped count.
+    """
     if cand_tokens == ref_tokens:
         return max(len(cand_tokens) - n + 1, 0)
-    ref_counts = _ngram_counts(ref_tokens, n)
-    return sum(min(c, ref_counts[g]) for g, c in _ngram_counts(cand_tokens, n).items())
+    cand_len, ref_len = len(cand_tokens), len(ref_tokens)
+    limit = min(cand_len, ref_len)
+    prefix = 0
+    while prefix < limit and cand_tokens[prefix] == ref_tokens[prefix]:
+        prefix += 1
+    limit -= prefix
+    suffix = 0
+    while suffix < limit and cand_tokens[-1 - suffix] == ref_tokens[-1 - suffix]:
+        suffix += 1
+    start = max(prefix - n + 1, 0)
+    cut = max(suffix - n + 1, 0)
+    cand = cand_tokens[start : cand_len - cut]
+    ref = ref_tokens[start : ref_len - cut]
+    if n > 1:
+        cand = list(zip(*(cand[i:] for i in range(n))))
+        ref = list(zip(*(ref[i:] for i in range(n))))
+    cand_set, ref_set = set(cand), set(ref)
+    if len(cand_set) == len(cand) or len(ref_set) == len(ref):
+        # Without repeats on one side every clip is 0 or 1: a set intersection.
+        return start + cut + len(cand_set & ref_set)
+    ref_counts = Counter(ref)
+    return start + cut + sum(min(c, ref_counts[g]) for g, c in Counter(cand).items())
 
 
 def bleu4(candidates: list[str], references: list[str]) -> float:

@@ -30,6 +30,26 @@ def reference_bleu4(candidates, references):
     return brevity * math.exp(log_sum)
 
 
+def reference_clipped_overlap(cand_tokens, ref_tokens, n):
+    """Candidate n-grams found in the reference, each clipped to its count there."""
+    c_grams = [" ".join(cand_tokens[i:i + n]) for i in range(len(cand_tokens) - n + 1)]
+    r_grams = [" ".join(ref_tokens[i:i + n]) for i in range(len(ref_tokens) - n + 1)]
+    return sum(min(c_grams.count(gram), r_grams.count(gram)) for gram in set(c_grams))
+
+
+def reference_rouge_n_f1(candidate, reference, n):
+    c_tokens, r_tokens = candidate.lower().split(), reference.lower().split()
+    c_grams = [" ".join(c_tokens[i:i + n]) for i in range(len(c_tokens) - n + 1)]
+    r_grams = [" ".join(r_tokens[i:i + n]) for i in range(len(r_tokens) - n + 1)]
+    if not c_grams or not r_grams:
+        return 1.0 if len(c_grams) == len(r_grams) else 0.0
+    match = sum(min(c_grams.count(gram), r_grams.count(gram)) for gram in set(c_grams))
+    if match == 0:
+        return 0.0
+    precision, recall = match / len(c_grams), match / len(r_grams)
+    return 2 * precision * recall / (precision + recall)
+
+
 def bleu_probe_pairs(ont, count=20, seed_base=1000):
     """Mildly perturbed summary pairs; every pair shares several 4-grams."""
     pairs = []

@@ -18,9 +18,16 @@ from statesum import (
     summary_to_state,
 )
 from statesum.destate import reserved_collisions
+from statesum.metrics import _clipped_overlap
 
 import golden_data as gd
-from oracles import ROUGE_HAND_CASES, bleu_probe_pairs, reference_bleu4
+from oracles import (
+    ROUGE_HAND_CASES,
+    bleu_probe_pairs,
+    reference_bleu4,
+    reference_clipped_overlap,
+    reference_rouge_n_f1,
+)
 
 
 # -- joint goal accuracy -----------------------------------------------------
@@ -74,6 +81,44 @@ def test_jga_domain_filter_matches_brute_force():
             restrict(p, domain) == restrict(g, domain) for p, g in pairs
         ) / len(pairs)
         assert joint_goal_accuracy(pairs, domain_filter=domain) == expected
+
+
+_JGA_VALUES = ("centre", "north", "cheap", "2", "yes", "12:15", "dontcare")
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_jga_domain_filter_property(ont, data):
+    # Predictions are gold states with drop, change-value, add and move edits
+    # in any domain, including slots outside the ontology; every filter must
+    # agree with comparing the two states restricted to the domain's slots.
+    slots = [spec.slot_name for spec in ont.all_slots()]
+    slots += ["hotel-foo", "hotels-area", "hotel", "train-", "-area"]
+    pairs = []
+    for _ in range(data.draw(st.integers(1, 6))):
+        gold = random_state(ont, seed=data.draw(st.integers(0, 2**20)))
+        predicted = dict(gold)
+        for _ in range(data.draw(st.integers(0, 3))):
+            edit = data.draw(st.sampled_from(("drop", "change", "add", "move")))
+            if edit == "add" or not predicted:
+                predicted[data.draw(st.sampled_from(slots))] = data.draw(st.sampled_from(_JGA_VALUES))
+                continue
+            slot = data.draw(st.sampled_from(sorted(predicted)))
+            if edit == "drop":
+                del predicted[slot]
+            elif edit == "change":
+                predicted[slot] = data.draw(st.sampled_from(_JGA_VALUES))
+            else:
+                predicted[data.draw(st.sampled_from(slots))] = predicted.pop(slot)
+        pairs.append((predicted, gold))
+
+    def restrict(state, domain):
+        return {k: v for k, v in state.items() if k.startswith(domain + "-")}
+
+    for domain in ont.domains:
+        expected = sum(restrict(p, domain) == restrict(g, domain) for p, g in pairs) / len(pairs)
+        assert joint_goal_accuracy(pairs, domain) == expected
+    assert joint_goal_accuracy(pairs, None) == sum(p == g for p, g in pairs) / len(pairs)
 
 
 def test_jga_empty_pairs_rejected():
@@ -167,6 +212,56 @@ def test_bleu_matches_independent_implementation(ont):
         )
 
 
+@st.composite
+def _overlap_cases(draw):
+    # Small alphabets make repeats common; a reference a few edits away from
+    # the candidate makes long common prefixes and suffixes common.
+    alphabet = "xyz"[: draw(st.integers(1, 3))]
+    cand = draw(st.lists(st.sampled_from(alphabet), max_size=10))
+    ref = list(cand)
+    for _ in range(draw(st.integers(0, 3))):
+        if ref and (len(ref) == 10 or draw(st.booleans())):
+            del ref[draw(st.integers(0, len(ref) - 1))]
+        else:
+            ref.insert(draw(st.integers(0, len(ref))), draw(st.sampled_from(alphabet)))
+    if draw(st.booleans()):
+        cand, ref = ref, cand
+    return cand, ref, draw(st.integers(1, 5))
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=_overlap_cases())
+def test_clipped_overlap_matches_independent_implementation(case):
+    cand, ref, n = case
+    assert _clipped_overlap(cand, ref, n) == reference_clipped_overlap(cand, ref, n)
+
+
+@pytest.mark.parametrize(
+    "cand, ref, n, expected",
+    [
+        # The prefix and suffix would overlap without the cap.
+        ("x x x", "x x", 1, 2),
+        ("x x x", "x x", 2, 1),
+        ("x x x", "x x x x", 3, 1),
+        # One list a prefix of the other.
+        ("a b c", "a b c d", 2, 2),
+        ("a b c d", "a b c", 3, 1),
+        ("a a b", "a a b a a b", 2, 2),
+        # n longer than both lists.
+        ("a b", "a c", 3, 0),
+        ("a b", "a b c", 4, 0),
+        # Empty lists.
+        ("", "", 1, 0),
+        ("", "a b", 1, 0),
+        ("a b", "", 2, 0),
+    ],
+)
+def test_clipped_overlap_edge_cases(cand, ref, n, expected):
+    cand, ref = cand.split(), ref.split()
+    assert _clipped_overlap(cand, ref, n) == expected
+    assert reference_clipped_overlap(cand, ref, n) == expected
+
+
 def test_bleu_length_mismatch():
     with pytest.raises(ValueError):
         bleu4(["a"], ["a", "b"])
@@ -188,6 +283,17 @@ def test_rouge_hand_computed(candidate, reference, n, expected):
     # Expected values are worked out by hand from the clipped overlap counts,
     # e.g. "the cat sat" vs "the cat ran" shares 2 of 3 unigrams: P=R=F1=2/3.
     assert rouge_n_f1(candidate, reference, n) == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_rouge_matches_independent_implementation(ont, n):
+    probes = bleu_probe_pairs(ont)
+    pairs = probes + [(c.upper(), r) for c, r in probes] + [(r.lower(), r) for _, r in probes]
+    pairs += [(c, r) for c, r, _, _ in ROUGE_HAND_CASES]
+    for candidate, reference in pairs:
+        assert rouge_n_f1(candidate, reference, n) == pytest.approx(
+            reference_rouge_n_f1(candidate, reference, n), abs=1e-12
+        )
 
 
 def test_rouge_degenerate_lengths():
