@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import random
 import sys
@@ -89,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_corpus_flags(sample)
     sample.add_argument("--mode", choices=["cd", "ct", "md"], required=True)
     sample.add_argument("--domain", help="target domain (cd/ct modes)")
-    sample.add_argument("--ratio", type=float, required=True)
+    sample.add_argument("--ratio", type=float, choices=RATIOS, required=True)
     sample.add_argument("--seed", type=int, required=True)
     sample.add_argument("--out", help="write the manifest here instead of stdout")
 
@@ -97,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_corpus_flags(export)
     export.add_argument("--mode", choices=["cd", "ct", "md"], required=True)
     export.add_argument("--domain")
-    export.add_argument("--ratio", type=float, required=True)
+    export.add_argument("--ratio", type=float, choices=RATIOS, required=True)
     _add_template_flags(export)
     export.add_argument("--out", required=True)
 
@@ -115,11 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--all-configs", action="store_true",
                       help="rotate through every natural template variant")
     return parser
-
-
-def _check_ratio(ratio: float):
-    if not any(math.isclose(ratio, r) for r in RATIOS):
-        raise UsageError(f"--ratio must be one of {', '.join(str(r) for r in RATIOS)}")
 
 
 def _cmd_synth(args, ontology) -> int:
@@ -143,7 +137,6 @@ def _cmd_parse(args, ontology) -> int:
 
 
 def _cmd_sample(args, ontology) -> int:
-    _check_ratio(args.ratio)
     corpus = _corpus_from(args)
     split = sample_fewshot(corpus, args.mode, args.domain, args.ratio, args.seed)
     manifest = json.dumps(split.to_dict(), indent=2) + "\n"
@@ -155,7 +148,6 @@ def _cmd_sample(args, ontology) -> int:
 
 
 def _cmd_export(args, ontology) -> int:
-    _check_ratio(args.ratio)
     corpus = _corpus_from(args)
     split = sample_fewshot(corpus, args.mode, args.domain, args.ratio, args.seed)
     diagnostics: list[str] = []

@@ -1,43 +1,20 @@
 """Summary-to-state extraction: pattern matching that inverts the renderer.
 
 Parsing never raises on malformed text; it returns a best-effort state plus a
-list of diagnostics. Pattern tables are compiled once per ontology, and each
-summary costs a single pass plus one probe per slot of the matched domains.
+list of diagnostics. Pattern tables are read off the ontology's slot templates
+once per ontology, and each summary costs a single pass plus one probe per slot
+of the matched domains.
 """
 
 from __future__ import annotations
 
+import os
 import re
 import weakref
 from dataclasses import dataclass, field
 
-from .ontology import DONTCARE, DialogueState, DomainSpec, Ontology, TemplateConfig
-from .summarize import DEFAULT_PLAN, ParaphrasePlan
-
-# Phrases that end a value inside a sentence. The trailing comma or period a
-# cut can leave behind is stripped by _clean_value.
-VALUE_TERMINATORS = (
-    " The ",
-    " Also, ",
-    " which ",
-    " called ",
-    " ranked ",
-    " during ",
-    " located in the ",
-    " for ",
-    " on ",
-    " and ",
-    " with a",
-    " people",
-    " person",
-    " price",
-    " star",
-    " day",
-    " to ",
-    " at ",
-)
-
-UNNATURAL_PREFIX = "The user wants "
+from .ontology import DONTCARE, DialogueState, DomainSpec, Ontology, SlotSpec, TemplateConfig
+from .summarize import DEFAULT_PLAN, UNNATURAL_PREFIX, ParaphrasePlan
 
 
 @dataclass
@@ -61,8 +38,40 @@ def _boundary_phrases(plan: ParaphrasePlan) -> tuple[str, ...]:
     return tuple(sorted(phrases, key=lambda p: (-len(p), p)))
 
 
+@dataclass(frozen=True)
+class _SlotRule:
+    """How one slot's value is found in its domain's sentence."""
+
+    slot_name: str
+    prefix: str = ""  # literal text directly before the value
+    article: bool = False  # prefix ends at an a/an article; skip "n " or " " after it
+    counted: re.Pattern | None = None  # count slot: the integer before its unit word
+    boolean: tuple[str, ...] = ()  # negative probe, then positive probe
+
+
+def _slot_rule(spec: SlotSpec) -> _SlotRule:
+    """Invert one slot's phrase template."""
+    if spec.is_boolean:
+        return _SlotRule(spec.slot_name, boolean=(" " + spec.phrase_no, " " + spec.phrase_yes))
+    head, after = spec.phrase_template.split("{v}")
+    if spec.value_kind == "count":
+        prefix = " " + head.replace("{a}", "a")  # digits always take "a"
+        # Match only what the singular and plural unit words share.
+        unit = after.replace("{unit}", os.path.commonprefix([spec.unit_singular, spec.unit_plural]))
+        return _SlotRule(
+            spec.slot_name, prefix, counted=re.compile(re.escape(prefix) + r"(\d+)" + re.escape(unit))
+        )
+    return _SlotRule(spec.slot_name, " " + head.replace("{a} ", "a"), article="{a}" in head)
+
+
 class StateExtractor:
-    """Compiled pattern set for one ontology, with parse/probe counters."""
+    """Parser for one ontology, with parse/probe counters.
+
+    Every rule is read off the slot templates when the extractor is built: a
+    slot's value follows the template text before ``{v}``, and it ends at the
+    first phrase that any template puts before or after a value, or at one of
+    the renderer's joiners (``", which "``, ``" and "``, the conjunction).
+    """
 
     def __init__(self, ontology: Ontology, plan: ParaphrasePlan = DEFAULT_PLAN):
         self.ontology = ontology
@@ -70,34 +79,34 @@ class StateExtractor:
         self.parses = 0
         self.pattern_applications = 0
 
+        self._rules = {
+            name: tuple(_slot_rule(spec) for spec in domain.slots)
+            for name, domain in ontology.domains.items()
+        }
+        terminators = [" which ", " and ", f" {plan.conjunction} "]
+        probes = []
+        for domain in ontology.domains.values():
+            for spec, rule in zip(domain.slots, self._rules[domain.domain_name]):
+                if rule.boolean:
+                    probes.extend(rule.boolean)
+                    continue
+                after = spec.phrase_template.split("{v}")[1]
+                terminators.append(rule.prefix)
+                terminators += [after.replace("{unit}", u) for u in (spec.unit_singular, spec.unit_plural)]
+        # Deduplicated in list order, not through a set: a skip diagnostic names
+        # the first reserved phrase found, which must not depend on the hash seed.
+        terminators = [t for t in dict.fromkeys(terminators) if t]
         self._splitter = re.compile(
             "|".join(re.escape(p) for p in _boundary_phrases(plan))
         )
-        self._terminators = re.compile(
-            "|".join(re.escape(t) for t in VALUE_TERMINATORS)
-        )
-        self._counted = {
-            spec.slot_name: re.compile(rf" for (\d+) {re.escape(spec.match_counted)}")
-            for domain in ontology.domains.values()
-            for spec in domain.slots
-            if spec.match_counted
-        }
+        self._terminators = re.compile("|".join(re.escape(t) for t in terminators))
         self._nouns = {
             domain.domain_name: {spec.dontcare_noun: spec.slot_name for spec in domain.slots}
             for domain in ontology.domains.values()
         }
-        self._reserved = self._build_reserved()
-
-    def _build_reserved(self) -> tuple[str, ...]:
-        reserved = [*VALUE_TERMINATORS, *_boundary_phrases(self.plan), self.plan.dontcare_marker]
-        for domain in self.ontology.domains.values():
-            for spec in domain.slots:
-                if spec.match_prefix:
-                    reserved.append(spec.match_prefix)
-                reserved.extend(spec.match_boolean)
-        # Deduplicated in list order, not through a set: a skip diagnostic names
-        # the first phrase found, which must not depend on the string hash seed.
-        return tuple(dict.fromkeys(reserved))
+        self._reserved = tuple(dict.fromkeys(
+            [*terminators, *_boundary_phrases(plan), plan.dontcare_marker, *probes]
+        ))
 
     # -- splitting ---------------------------------------------------------
 
@@ -151,34 +160,34 @@ class StateExtractor:
         main = fragment if one_sentence else fragment.split(".", 1)[0]
         state: DialogueState = {}
 
-        for spec in domain.slots:
-            if spec.match_boolean:
+        for rule in self._rules[domain.domain_name]:
+            if rule.boolean:
                 self.pattern_applications += 2
-                negative, positive = spec.match_boolean
+                negative, positive = rule.boolean
                 if negative in main:
-                    state[spec.slot_name] = "no"
+                    state[rule.slot_name] = "no"
                 elif positive in main:
-                    state[spec.slot_name] = "yes"
+                    state[rule.slot_name] = "yes"
                 continue
             self.pattern_applications += 1
-            if spec.match_counted:
-                m = self._counted[spec.slot_name].search(main)
+            if rule.counted:
+                m = rule.counted.search(main)
                 if m:
-                    state[spec.slot_name] = m.group(1)
+                    state[rule.slot_name] = m.group(1)
                 continue
-            idx = main.find(spec.match_prefix)
+            idx = main.find(rule.prefix)
             if idx < 0:
                 continue
-            tail = main[idx + len(spec.match_prefix):]
-            if spec.match_article:
+            tail = main[idx + len(rule.prefix):]
+            if rule.article:
                 tail = tail[2:] if tail.startswith("n") else tail[1:]
             value = self._cut_value(tail)
             if not value:
                 diags.append(
-                    f"{domain.domain_name}: empty value after {spec.match_prefix!r}"
+                    f"{domain.domain_name}: empty value after {rule.prefix!r}"
                 )
                 continue
-            state[spec.slot_name] = value
+            state[rule.slot_name] = value
 
         marker = self.plan.dontcare_marker
         idx = fragment.find(marker)
@@ -243,16 +252,18 @@ class StateExtractor:
     def reserved_collisions(self, state: DialogueState) -> list[str]:
         """Values that would corrupt extraction if rendered into a summary.
 
-        A literal collides when it embeds a template delimiter, a slot
-        pattern, another domain's detection phrase, or (for counted slots) is
-        not a plain integer.
+        A literal collides when it embeds a phrase the parser reads off the
+        schema (text a template puts around a value, a joiner, a sentence
+        subject, the dontcare marker, a boolean phrase) or another domain's
+        detection phrase, or when it fills a count slot and is not a plain
+        integer. Phrases are tried in a fixed order; the first found is named.
         """
         issues = []
         for slot_name, value in state.items():
             if value == DONTCARE or not self.ontology.has_slot(slot_name):
                 continue
             spec = self.ontology.slot(slot_name)
-            if spec.match_counted and not value.isdigit():
+            if spec.value_kind == "count" and not value.isdigit():
                 issues.append(f"{slot_name}: counted value {value!r} is not an integer")
                 continue
             hay = f" {value} "
@@ -281,22 +292,6 @@ def extractor_for(ontology: Ontology) -> StateExtractor:
         extractor = StateExtractor(ontology)
         _EXTRACTORS[ontology] = extractor
     return extractor
-
-
-def split_by_domain(summary: str, ontology: Ontology) -> tuple[dict[str, str], list[str]]:
-    return extractor_for(ontology).split_by_domain(summary)
-
-
-def parse_domain_sentence(
-    fragment: str,
-    domain: DomainSpec,
-    ontology: Ontology,
-    one_sentence: bool = True,
-    diagnostics: list[str] | None = None,
-) -> DialogueState:
-    return extractor_for(ontology).parse_domain_sentence(
-        fragment, domain, one_sentence, diagnostics
-    )
 
 
 def parse_summary(

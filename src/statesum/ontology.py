@@ -65,7 +65,7 @@ class TemplateConfig:
 
 @dataclass(frozen=True)
 class SlotSpec:
-    """One slot: its sentence phrase, extraction rule, and dontcare noun."""
+    """One slot: its sentence phrase, value kind, and dontcare noun."""
 
     slot_name: str
     domain: str
@@ -79,10 +79,6 @@ class SlotSpec:
     unit_plural: str = ""
     phrase_yes: str = ""
     phrase_no: str = ""
-    match_prefix: str = ""
-    match_article: bool = False
-    match_counted: str = ""
-    match_boolean: tuple[str, str] = ()
     categories: tuple[str, ...] = ()
 
     @property
@@ -160,25 +156,21 @@ def _parse_slot(domain_name: str, slot_name: str, raw: dict) -> SlotSpec:
     if "position" not in raw:
         raise SchemaError(f"slot {slot_name!r}: missing position")
 
-    match = raw.get("match") or {}
-    if not isinstance(match, dict):
-        raise SchemaError(f"slot {slot_name!r}: match must be a mapping")
-    boolean = match.get("boolean") or ()
-    if boolean and len(boolean) != 2:
-        raise SchemaError(f"slot {slot_name!r}: boolean match needs two probes")
-
     template = raw.get("template", "")
     unit = raw.get("unit") or ("", "")
     if kind == "boolean_yes_no":
         if not raw.get("phrase_yes") or not raw.get("phrase_no"):
             raise SchemaError(f"slot {slot_name!r}: boolean slot needs phrase_yes/phrase_no")
-        if not boolean:
-            raise SchemaError(f"slot {slot_name!r}: boolean slot needs boolean match probes")
     else:
         if template.count("{v}") != 1:
             raise SchemaError(f"slot {slot_name!r}: template must contain exactly one {{v}} hole")
-        if not match.get("prefix") and not match.get("counted"):
-            raise SchemaError(f"slot {slot_name!r}: missing match rule")
+        # The parser finds a value by the literal text before it.
+        literal = template.split("{v}")[0].removesuffix("{a} ")
+        if not literal.strip() or "{" in literal:
+            raise SchemaError(
+                f"slot {slot_name!r}: template needs literal text before {{v}}, "
+                "optionally ending in '{a} '"
+            )
     if kind == "count" and "{unit}" in template and (not unit[0] or not unit[1]):
         raise SchemaError(f"slot {slot_name!r}: count slot needs unit [singular, plural]")
 
@@ -195,10 +187,6 @@ def _parse_slot(domain_name: str, slot_name: str, raw: dict) -> SlotSpec:
         unit_plural=str(unit[1]),
         phrase_yes=str(raw.get("phrase_yes", "")),
         phrase_no=str(raw.get("phrase_no", "")),
-        match_prefix=str(match.get("prefix", "")),
-        match_article=bool(match.get("article", False)),
-        match_counted=str(match.get("counted", "")),
-        match_boolean=tuple(boolean),
         categories=tuple(raw.get("categories", ())),
     )
 

@@ -56,6 +56,8 @@ class ParaphrasePlan:
 
 DEFAULT_PLAN = ParaphrasePlan()
 
+UNNATURAL_PREFIX = "The user wants "
+
 
 def render_slot_phrase(spec: SlotSpec, value: str) -> str:
     """Render one slot-value pair into its sentence phrase.
@@ -150,7 +152,7 @@ def _unnatural_summary(groups: dict[str, DialogueState], order: list[str]) -> st
         for slot_name, value in groups[domain_name].items():
             bare = slot_name.split("-", 1)[1]
             parts.append(f"{value} as {bare} of {domain_name}")
-    return "The user wants " + ", ".join(parts) + "."
+    return UNNATURAL_PREFIX + ", ".join(parts) + "."
 
 
 def state_to_summary(

@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 from statesum.cli import run
 
 from conftest import FIXTURE_CORPUS
@@ -57,10 +59,12 @@ def test_synth_invalid_state_exits_2(monkeypatch, capsys):
     assert "error" in err
 
 
-def test_sample_bad_ratio_is_usage_error(monkeypatch, capsys):
+@pytest.mark.parametrize("command", ["sample", "export"])
+def test_sample_bad_ratio_is_usage_error(monkeypatch, capsys, tmp_path, command):
     code, _, err = _run(
-        ["sample", "--corpus", str(FIXTURE_CORPUS), "--mode", "ct",
-         "--domain", "restaurant", "--ratio", "0.02", "--seed", "11"],
+        [command, "--corpus", str(FIXTURE_CORPUS), "--mode", "ct",
+         "--domain", "restaurant", "--ratio", "0.02", "--seed", "11",
+         *(["--out", str(tmp_path / "labels.jsonl")] if command == "export" else [])],
         monkeypatch, capsys,
     )
     assert code == 1

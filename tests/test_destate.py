@@ -9,10 +9,10 @@ from statesum import (
     TemplateConfig,
     parse_summary,
     reserved_collisions,
-    split_by_domain,
+    state_to_summary,
     summary_to_state,
 )
-from statesum.destate import StateExtractor, parse_domain_sentence
+from statesum.destate import StateExtractor
 
 import golden_data as gd
 
@@ -34,18 +34,20 @@ def test_empty_summary(ont):
 
 
 def test_split_multi_domain(ont):
-    fragments, diagnostics = split_by_domain(gd.MULTI_DOMAIN_SUMMARY, ont)
+    fragments, diagnostics = StateExtractor(ont).split_by_domain(gd.MULTI_DOMAIN_SUMMARY)
     assert set(fragments) == {"train", "restaurant", "hotel"}
     assert diagnostics == []
 
 
 def test_split_single_domain(ont):
-    fragments, _ = split_by_domain("The user is looking for a taxi to cineworld.", ont)
+    fragments, _ = StateExtractor(ont).split_by_domain(
+        "The user is looking for a taxi to cineworld."
+    )
     assert list(fragments) == ["taxi"]
 
 
 def test_split_unmatched_text(ont):
-    fragments, diagnostics = split_by_domain("Hello world.", ont)
+    fragments, diagnostics = StateExtractor(ont).split_by_domain("Hello world.")
     assert fragments == {}
     assert len(diagnostics) == 1
 
@@ -55,7 +57,7 @@ def test_parse_domain_sentence_table_variant(ont):
         " a place to stay which is a guesthouse with a moderate price, "
         "which has internet, and he does not care about the location."
     )
-    state = parse_domain_sentence(fragment, ont.domains["hotel"], ont)
+    state = StateExtractor(ont).parse_domain_sentence(fragment, ont.domains["hotel"])
     assert state == {
         "hotel-type": "guesthouse",
         "hotel-pricerange": "moderate",
@@ -65,7 +67,7 @@ def test_parse_domain_sentence_table_variant(ont):
 
 
 def test_parse_domain_sentence_empty(ont):
-    assert parse_domain_sentence("", ont.domains["attraction"], ont) == {}
+    assert StateExtractor(ont).parse_domain_sentence("", ont.domains["attraction"]) == {}
 
 
 def test_parse_strips_commas_and_periods(ont):
@@ -186,6 +188,14 @@ def test_reserved_collisions(ont):
     assert reserved_collisions({"train-book people": "three"}, ont)
     assert not reserved_collisions({"train-book people": "3"}, ont)
     assert not reserved_collisions({"hotel-area": DONTCARE}, ont)
+    # Only phrases some template renders are reserved, so "during" is a plain word.
+    state = {"attraction-name": "during the war"}
+    assert reserved_collisions(state, ont) == []
+    assert summary_to_state(state_to_summary(state, ont), ont) == state
+    # Every count slot, hotel-stars included, takes integers only.
+    issues = reserved_collisions({"hotel-stars": "three"}, ont)
+    assert len(issues) == 1 and "not an integer" in issues[0]
+    assert summary_to_state("The user is looking for a place to stay ranked three stars.", ont) == {}
 
 
 def test_reserved_collisions_do_not_depend_on_hash_seed():

@@ -10,6 +10,9 @@ from statesum import (
     load_ontology,
     random_state,
     render_slot_phrase,
+    reserved_collisions,
+    state_to_summary,
+    summary_to_state,
     validate_state,
 )
 
@@ -48,6 +51,67 @@ def test_load_custom_schema(tmp_path):
     path.write_text(MINIMAL_SCHEMA)
     ont = load_ontology(path)
     assert ont.slot_count == 1
+
+
+# New phrasings and no extraction rules: the parser reads everything off the templates.
+CUSTOM_SCHEMA = """
+domains:
+  attraction:
+    noun_phrase: a sight
+    detect_phrase: sight
+    slots:
+      attraction-type: {position: 0, template: "that is {a} {v}", dontcare_noun: the kind}
+      attraction-name: {position: 1, template: "named {v}", dontcare_noun: the name}
+      attraction-area: {position: 2, template: "near the {v}", dontcare_noun: the area}
+  restaurant:
+    noun_phrase: somewhere to eat
+    detect_phrase: somewhere to eat
+    slots:
+      restaurant-book people:
+        position: 0
+        kind: count
+        template: "seating {v} {unit}"
+        unit: [guest, guests]
+        dontcare_noun: the party size
+      restaurant-food: {position: 1, template: "cooking {v} dishes", dontcare_noun: the cuisine}
+      restaurant-terrace:
+        position: 2
+        kind: boolean_yes_no
+        clause: true
+        phrase_yes: has a terrace
+        phrase_no: has no terrace
+        dontcare_noun: the terrace
+value_pools:
+  attraction-type: [museum, arcade, old church]
+  attraction-name: [kambar, old schools, called home]
+  attraction-area: [centre, north bank]
+  restaurant-book people: ["1", "2", "12"]
+  restaurant-food: [thai, modern european]
+"""
+
+
+def test_custom_schema_round_trips(tmp_path):
+    path = tmp_path / "schema.yaml"
+    path.write_text(CUSTOM_SCHEMA)
+    ont = load_ontology(path)
+    configs = [
+        TemplateConfig(paraphrasing=p, dontcare_concat=c) for p in (True, False) for c in (True, False)
+    ] + [TemplateConfig(naturalness=False)]
+    for seed in range(300):
+        state = random_state(ont, seed=seed, max_domains=2)
+        assert reserved_collisions(state, ont) == []
+        for cfg in configs:
+            assert summary_to_state(state_to_summary(state, ont, cfg), ont, cfg) == state, (seed, cfg)
+    issues = reserved_collisions({"attraction-name": "house near the river"}, ont)
+    assert len(issues) == 1 and "near the" in issues[0]
+
+
+def test_template_without_literal_head_rejected(tmp_path):
+    path = tmp_path / "schema.yaml"
+    for template in ("{v} hall", "in {a} big {v}"):
+        path.write_text(MINIMAL_SCHEMA.replace("called {v}", template))
+        with pytest.raises(SchemaError, match="literal text before"):
+            load_ontology(path)
 
 
 def test_duplicate_slot_rejected(tmp_path):
