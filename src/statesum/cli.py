@@ -16,7 +16,7 @@ import sys
 
 from . import __version__
 from .corpus import RATIOS, export_training_file, load_multiwoz, sample_fewshot, write_atomic
-from .destate import StateExtractor
+from .destate import StateExtractor, parse_summary
 from .errors import StatesumError
 from .metrics import evaluate_run
 from .ontology import TemplateConfig, load_ontology, random_state
@@ -54,8 +54,8 @@ def _add_template_flags(parser):
 def _config_from(args) -> TemplateConfig:
     return TemplateConfig(
         naturalness=not args.unnatural,
-        paraphrasing=not args.unnatural and not args.no_paraphrase,
-        dontcare_concat=not args.unnatural and not args.no_dontcare_concat,
+        paraphrasing=not args.no_paraphrase,
+        dontcare_concat=not args.no_dontcare_concat,
         domain_order=args.order,
     )
 
@@ -128,9 +128,10 @@ def _cmd_synth(args, ontology) -> int:
 
 def _cmd_parse(args, ontology) -> int:
     payload = json.load(sys.stdin)
+    if isinstance(payload, dict) and "summary" not in payload:
+        raise StatesumError("parse input has no 'summary' field")
     summary = payload["summary"] if isinstance(payload, dict) else str(payload)
-    extractor = StateExtractor(ontology)
-    result = extractor.parse(summary, _config_from(args))
+    result = parse_summary(summary, ontology, _config_from(args))
     json.dump({"state": result.state, "diagnostics": result.diagnostics}, sys.stdout)
     sys.stdout.write("\n")
     return EXIT_OK
@@ -215,7 +216,7 @@ def run(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (StatesumError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (StatesumError, OSError, json.JSONDecodeError, UnicodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -418,8 +418,9 @@ def export_training_file(
 ) -> int:
     """Write one JSONL record per turn of the split's dialogues.
 
-    Turns whose state embeds a reserved template phrase cannot survive the
-    round trip; they are skipped and reported rather than written corrupted.
+    A turn is written only if its label parses back to its state under ``cfg``
+    (see ``reserved_collisions``); other turns are skipped and reported rather
+    than written corrupted.
     Returns the number of records written; on failure no partial file is left.
     """
     diags = diagnostics if diagnostics is not None else []
@@ -434,9 +435,13 @@ def export_training_file(
     with _open_atomic(out) as handle:
         for dialogue_id in sorted(roles):
             dialogue = by_id[dialogue_id]
-            labels = dict(synthesize_labels(dialogue, ontology, cfg, split.seed))
-            for turn in dialogue.turns:
-                collisions = reserved_collisions(turn.state, ontology)
+            labels = synthesize_labels(dialogue, ontology, cfg, split.seed)
+            previous = None
+            for turn, (_, label) in zip(dialogue.turns, labels):
+                # A state often stays put for several turns; its verdict then holds too.
+                if (label, turn.state) != previous:
+                    previous = (label, turn.state)
+                    collisions = reserved_collisions(turn.state, ontology, cfg, label)
                 if collisions:
                     diags.append(f"{dialogue_id}/{turn.index}: skipped, {'; '.join(collisions)}")
                     continue
@@ -445,13 +450,13 @@ def export_training_file(
                     "turn_index": turn.index,
                     "split_role": roles[dialogue_id],
                     "history": turn.history_text,
-                    "gold_summary": labels[turn.index],
+                    "gold_summary": label,
                     "gold_state": dict(turn.state),
                 }
                 handle.write(json.dumps(record, ensure_ascii=False) + "\n")
                 written += 1
     if diags:
-        log.info("export skipped %d turns with reserved-phrase collisions", len(diags))
+        log.info("export skipped %d turns that do not round-trip", len(diags))
     return written
 
 
@@ -480,9 +485,13 @@ def load_predictions(
             for key in ("dialogue_id", "turn_index", "predicted_summary"):
                 if key not in payload:
                     raise CorpusError(f"line {line_no}: missing {key!r}")
+            try:
+                turn_index = int(payload["turn_index"])
+            except (TypeError, ValueError):
+                raise CorpusError(f"line {line_no}: turn_index is not an integer") from None
             record = PredictionRecord(
                 dialogue_id=str(payload["dialogue_id"]),
-                turn_index=int(payload["turn_index"]),
+                turn_index=turn_index,
                 predicted_summary=str(payload["predicted_summary"]),
             )
             key = (record.dialogue_id, record.turn_index)

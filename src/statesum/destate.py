@@ -3,7 +3,8 @@
 Parsing never raises on malformed text; it returns a best-effort state plus a
 list of diagnostics. Pattern tables are read off the ontology's slot templates
 once per ontology, and each summary costs a single pass plus one probe per slot
-of the matched domains.
+of the matched domains. The export guard, ``reserved_collisions``, is this
+parser run on the label: a label is kept only if it parses back to its state.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import weakref
 from dataclasses import dataclass, field
 
 from .ontology import DONTCARE, DialogueState, DomainSpec, Ontology, SlotSpec, TemplateConfig
-from .summarize import DEFAULT_PLAN, UNNATURAL_PREFIX, ParaphrasePlan
+from .summarize import DEFAULT_PLAN, UNNATURAL_PREFIX, ParaphrasePlan, state_to_summary
 
 
 @dataclass
@@ -84,17 +85,13 @@ class StateExtractor:
             for name, domain in ontology.domains.items()
         }
         terminators = [" which ", " and ", f" {plan.conjunction} "]
-        probes = []
         for domain in ontology.domains.values():
             for spec, rule in zip(domain.slots, self._rules[domain.domain_name]):
                 if rule.boolean:
-                    probes.extend(rule.boolean)
                     continue
                 after = spec.phrase_template.split("{v}")[1]
                 terminators.append(rule.prefix)
                 terminators += [after.replace("{unit}", u) for u in (spec.unit_singular, spec.unit_plural)]
-        # Deduplicated in list order, not through a set: a skip diagnostic names
-        # the first reserved phrase found, which must not depend on the hash seed.
         terminators = [t for t in dict.fromkeys(terminators) if t]
         self._splitter = re.compile(
             "|".join(re.escape(p) for p in _boundary_phrases(plan))
@@ -104,9 +101,6 @@ class StateExtractor:
             domain.domain_name: {spec.dontcare_noun: spec.slot_name for spec in domain.slots}
             for domain in ontology.domains.values()
         }
-        self._reserved = tuple(dict.fromkeys(
-            [*terminators, *_boundary_phrases(plan), plan.dontcare_marker, *probes]
-        ))
 
     # -- splitting ---------------------------------------------------------
 
@@ -247,40 +241,6 @@ class StateExtractor:
             result.state.update(partial)  # domains are disjoint
         return result
 
-    # -- synthesis-time guard ------------------------------------------------
-
-    def reserved_collisions(self, state: DialogueState) -> list[str]:
-        """Values that would corrupt extraction if rendered into a summary.
-
-        A literal collides when it embeds a phrase the parser reads off the
-        schema (text a template puts around a value, a joiner, a sentence
-        subject, the dontcare marker, a boolean phrase) or another domain's
-        detection phrase, or when it fills a count slot and is not a plain
-        integer. Phrases are tried in a fixed order; the first found is named.
-        """
-        issues = []
-        for slot_name, value in state.items():
-            if value == DONTCARE or not self.ontology.has_slot(slot_name):
-                continue
-            spec = self.ontology.slot(slot_name)
-            if spec.value_kind == "count" and not value.isdigit():
-                issues.append(f"{slot_name}: counted value {value!r} is not an integer")
-                continue
-            hay = f" {value} "
-            for phrase in self._reserved:
-                if phrase in hay:
-                    issues.append(f"{slot_name}: value {value!r} contains {phrase.strip()!r}")
-                    break
-            else:
-                for domain in self.ontology.domains.values():
-                    if domain.domain_name != spec.domain and domain.domain_phrase in value:
-                        issues.append(
-                            f"{slot_name}: value {value!r} contains the "
-                            f"{domain.domain_name!r} domain phrase"
-                        )
-                        break
-        return issues
-
 
 _EXTRACTORS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
@@ -311,5 +271,32 @@ def summary_to_state(
     return parse_summary(summary, ontology, cfg).state
 
 
-def reserved_collisions(state: DialogueState, ontology: Ontology) -> list[str]:
-    return extractor_for(ontology).reserved_collisions(state)
+def reserved_collisions(
+    state: DialogueState,
+    ontology: Ontology,
+    cfg: TemplateConfig = TemplateConfig(),
+    summary: str | None = None,
+) -> list[str]:
+    """Why ``summary`` (default: ``state`` rendered under ``cfg``) does not parse
+    back to exactly ``state`` with no diagnostics; empty when it does.
+
+    Names each slot that reads back differently, and a value terminator found
+    inside its expected value, then lists the parser's diagnostics.
+    """
+    if summary is None:
+        summary = state_to_summary(state, ontology, cfg)
+    extractor = extractor_for(ontology)
+    result = extractor.parse(summary, cfg)
+    if result.state == state and not result.diagnostics:
+        return []
+    issues = []
+    for slot_name in dict.fromkeys([*state, *result.state]):
+        expected, got = state.get(slot_name), result.state.get(slot_name)
+        if expected == got:
+            continue
+        issue = f"{slot_name}: {expected!r} reads back as {got!r}"
+        cut = expected and extractor._terminators.search(f" {expected} ")
+        if cut:
+            issue += f" (cut at {cut.group().strip()!r})"
+        issues.append(issue)
+    return issues + result.diagnostics

@@ -153,8 +153,10 @@ def _parse_slot(domain_name: str, slot_name: str, raw: dict) -> SlotSpec:
     kind = raw.get("kind", "free_text")
     if kind not in VALUE_KINDS:
         raise SchemaError(f"slot {slot_name!r}: unknown kind {kind!r}")
-    if "position" not in raw:
-        raise SchemaError(f"slot {slot_name!r}: missing position")
+    try:
+        position = int(raw["position"])
+    except (KeyError, TypeError, ValueError):
+        raise SchemaError(f"slot {slot_name!r}: position must be an integer") from None
 
     template = raw.get("template", "")
     unit = raw.get("unit") or ("", "")
@@ -180,7 +182,7 @@ def _parse_slot(domain_name: str, slot_name: str, raw: dict) -> SlotSpec:
         phrase_template=template,
         dontcare_noun=str(raw.get("dontcare_noun", "")),
         value_kind=kind,
-        canonical_position=int(raw["position"]),
+        canonical_position=position,
         clause=bool(raw.get("clause", False)),
         front_when_an=bool(raw.get("front_when_an", False)),
         unit_singular=str(unit[0]),

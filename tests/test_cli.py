@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from statesum import cli
 from statesum.cli import run
 
 from conftest import FIXTURE_CORPUS
@@ -167,3 +168,52 @@ def test_eval_missing_predictions_exits_2(monkeypatch, capsys, tmp_path):
         monkeypatch, capsys,
     )
     assert code == 2
+
+
+def test_parse_without_summary_exits_2(monkeypatch, capsys):
+    code, _, err = _run(["parse"], monkeypatch, capsys, stdin=json.dumps({"text": "x"}))
+    assert code == 2
+    assert "'summary'" in err and "field" in err
+
+
+def test_schema_with_non_integer_position_exits_2(monkeypatch, capsys, tmp_path):
+    schema = tmp_path / "schema.yaml"
+    schema.write_text(
+        "domains:\n"
+        "  attraction:\n"
+        "    noun_phrase: an attraction\n"
+        "    detect_phrase: attraction\n"
+        "    slots:\n"
+        "      attraction-name: {position: abc, template: 'called {v}', dontcare_noun: the name}\n"
+    )
+    code, _, err = _run(
+        ["--ontology", str(schema), "synth"], monkeypatch, capsys, stdin=json.dumps({})
+    )
+    assert code == 2
+    assert "'attraction-name': position must be an integer" in err
+
+
+@pytest.mark.parametrize("turn_index", [None, "first"])
+def test_eval_non_integer_turn_index_exits_2(monkeypatch, capsys, tmp_path, turn_index):
+    predictions = tmp_path / "preds.jsonl"
+    predictions.write_text(
+        json.dumps({"dialogue_id": "SNG0001.json", "turn_index": 0, "predicted_summary": ""}) + "\n"
+        + json.dumps({"dialogue_id": "SNG0001.json", "turn_index": turn_index,
+                      "predicted_summary": ""}) + "\n"
+    )
+    code, _, err = _run(
+        ["eval", "--corpus", str(FIXTURE_CORPUS), "--predictions", str(predictions),
+         "--out", str(tmp_path / "r.json")],
+        monkeypatch, capsys,
+    )
+    assert code == 2
+    assert "line 2: turn_index" in err and "not an integer" in err
+
+
+def test_programming_error_propagates(monkeypatch):
+    def broken(args, ontology):
+        raise KeyError("bug")
+
+    monkeypatch.setitem(cli._COMMANDS, "fuzz", broken)
+    with pytest.raises(KeyError, match="bug"):
+        run(["fuzz", "--trials", "1"])

@@ -25,6 +25,7 @@ from statesum.corpus import (
     normalize_raw_value,
 )
 from statesum.destate import parse_summary
+from statesum.summarize import synthesize_labels
 
 from conftest import FIXTURE_CORPUS
 
@@ -333,6 +334,31 @@ def test_export_skips_colliding_turn(mini_corpus, ont, tmp_path):
     assert not any(
         r["dialogue_id"] == "SNG0004.json" and r["turn_index"] == 1 for r in written
     )
+
+
+@pytest.mark.parametrize("cfg", [
+    TemplateConfig(paraphrasing=p, dontcare_concat=c, domain_order=o)
+    for p, c, o in ((True, True, "shuffled"), (False, True, "canonical"),
+                    (True, False, "shuffled"), (False, False, "canonical"))
+] + [TemplateConfig(naturalness=False)], ids=["tt", "ft", "tf", "ff", "flat"])
+def test_export_writes_exactly_the_round_trips(mini_corpus, ont, tmp_path, cfg):
+    split = sample_fewshot(mini_corpus, "md", ratio=1.0, seed=11)
+    out = tmp_path / "labels.jsonl"
+    export_training_file(split, mini_corpus, ont, cfg, out)
+    written = {}
+    for line in out.read_text().splitlines():
+        record = json.loads(line)
+        written[(record["dialogue_id"], record["turn_index"])] = record
+        assert parse_summary(record["gold_summary"], ont, cfg).state == record["gold_state"], record
+    dialogues = mini_corpus.dialogue_map()
+    for dialogue_id in split.finetune_ids:
+        labels = dict(synthesize_labels(dialogues[dialogue_id], ont, cfg, split.seed))
+        for turn in dialogues[dialogue_id].turns:
+            if (dialogue_id, turn.index) not in written:
+                parsed = parse_summary(labels[turn.index], ont, cfg)
+                assert parsed.state != turn.state or parsed.diagnostics, (dialogue_id, turn.index)
+    # The flat format has no " and " terminator, so the venue name survives there.
+    assert (("SNG0004.json", 1) in written) == (not cfg.naturalness)
 
 
 def test_export_failure_leaves_no_partial_file(mini_corpus, ont, tmp_path):

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -8,11 +9,13 @@ from statesum import (
     DONTCARE,
     TemplateConfig,
     parse_summary,
+    random_state,
     reserved_collisions,
     state_to_summary,
     summary_to_state,
 )
 from statesum.destate import StateExtractor
+from statesum.summarize import DEFAULT_PLAN
 
 import golden_data as gd
 
@@ -194,13 +197,21 @@ def test_reserved_collisions(ont):
     assert summary_to_state(state_to_summary(state, ont), ont) == state
     # Every count slot, hotel-stars included, takes integers only.
     issues = reserved_collisions({"hotel-stars": "three"}, ont)
-    assert len(issues) == 1 and "not an integer" in issues[0]
+    assert issues == ["hotel-stars: 'three' reads back as None"]
     assert summary_to_state("The user is looking for a place to stay ranked three stars.", ont) == {}
+    # A value ending in the first words of a phrase the render completes after it.
+    assert reserved_collisions({"restaurant-book day": "bar leaves", "restaurant-book time": "12:00"}, ont)
+    assert reserved_collisions({"train-day": "kambar Also", "train-arriveby": "12:00"}, ont)
+    # The state reads back intact, but the parser reports a stray dontcare noun.
+    state = {"attraction-name": "kambar does not care about", "attraction-area": "centre"}
+    assert reserved_collisions(state, ont) == [
+        "attraction: unrecognized dontcare noun 'located in the centre'"
+    ]
 
 
 def test_reserved_collisions_do_not_depend_on_hash_seed():
-    # Each value holds several reserved phrases; the diagnostic names the first
-    # one the guard tries, so that order must be fixed across processes.
+    # Each value holds several template phrases; the issues name the terminator
+    # that cuts a value and the parser's diagnostics, fixed across processes.
     script = (
         "from statesum import default_ontology, reserved_collisions\n"
         "print(reserved_collisions({'restaurant-name': 'bar and grill for people at noon',"
@@ -218,7 +229,53 @@ def test_reserved_collisions_do_not_depend_on_hash_seed():
         )
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
-    assert outputs[0].count("contains") == 3
+    assert outputs[0] == repr([
+        "restaurant-name: 'bar and grill for people at noon' reads back as 'bar' (cut at 'and')",
+        "hotel-name: 'he looks forward He looks forward' reads back as None",
+        "attraction-name: 'the user is looking forward The user is looking forward' reads back as None",
+        "restaurant-book time: None reads back as 'noon'",
+        "no domain phrase matched: 'ward'",
+        "no domain phrase matched: 'ward. Also,'",
+        "no domain phrase matched: 'ward'",
+        "no domain phrase matched: 'ward.'",
+        "attraction: empty value after ' called '",
+        "hotel: empty value after ' called '",
+    ]) + "\n"
+
+
+def _template_words(ont):
+    """Every word the renderer writes around a value, without punctuation."""
+    plan = DEFAULT_PLAN
+    phrases = [*plan.subject_variants, plan.conjunction, plan.dontcare_marker, "which", "and"]
+    for spec in ont.all_slots():
+        phrases += [spec.phrase_template, spec.unit_singular, spec.unit_plural,
+                    spec.phrase_yes, spec.phrase_no]
+    words = {word.strip(",.") for phrase in phrases for word in phrase.split()}
+    return sorted(word for word in words if word and "{" not in word)
+
+
+def test_guard_accepts_exactly_the_round_trips(ont):
+    # Values built from the template vocabulary: the guard must accept a label
+    # exactly when it parses back to its state with no diagnostics.
+    words = _template_words(ont)
+    configs = [
+        TemplateConfig(paraphrasing=p, dontcare_concat=c) for p in (True, False) for c in (True, False)
+    ] + [TemplateConfig(naturalness=False)]
+    verdicts = {True: 0, False: 0}
+    for seed in range(6000):
+        rng = random.Random(seed)
+        state = random_state(ont, seed=seed)
+        slots = [s for s, v in state.items() if v != DONTCARE and not ont.slot(s).is_boolean]
+        if not slots:
+            continue
+        state[rng.choice(slots)] = " ".join(rng.choices(words, k=rng.randint(1, 3)))
+        cfg = configs[seed % len(configs)]
+        summary = state_to_summary(state, ont, cfg)
+        parsed = parse_summary(summary, ont, cfg)
+        round_trips = parsed.state == state and not parsed.diagnostics
+        assert (reserved_collisions(state, ont, cfg, summary) == []) == round_trips, (seed, summary)
+        verdicts[round_trips] += 1
+    assert verdicts[True] > 1000 and verdicts[False] > 1000, verdicts
 
 
 def test_value_pools_are_collision_free(ont):

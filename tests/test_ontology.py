@@ -103,7 +103,10 @@ def test_custom_schema_round_trips(tmp_path):
         for cfg in configs:
             assert summary_to_state(state_to_summary(state, ont, cfg), ont, cfg) == state, (seed, cfg)
     issues = reserved_collisions({"attraction-name": "house near the river"}, ont)
-    assert len(issues) == 1 and "near the" in issues[0]
+    assert issues == [
+        "attraction-name: 'house near the river' reads back as 'house' (cut at 'near the')",
+        "attraction-area: None reads back as 'river'",
+    ]
 
 
 def test_template_without_literal_head_rejected(tmp_path):
