@@ -16,7 +16,7 @@ import sys
 
 from . import __version__
 from .corpus import RATIOS, export_training_file, load_multiwoz, sample_fewshot, write_atomic
-from .destate import StateExtractor, parse_summary
+from .destate import parse_summary
 from .errors import StatesumError
 from .metrics import evaluate_run
 from .ontology import TemplateConfig, load_ontology, random_state
@@ -180,13 +180,12 @@ def _cmd_fuzz(args, ontology) -> int:
             for p in (True, False)
             for c in (True, False)
         ]
-    extractor = StateExtractor(ontology)
     failures = 0
     for trial in range(args.trials):
         state = random_state(ontology, seed=args.seed + trial, max_domains=args.max_domains)
         cfg = configs[trial % len(configs)]
         summary = state_to_summary(state, ontology, cfg)
-        recovered = extractor.parse(summary, cfg).state
+        recovered = parse_summary(summary, ontology, cfg).state
         if recovered != state:
             failures += 1
             print(f"round-trip failure at seed {args.seed + trial}:", file=sys.stderr)

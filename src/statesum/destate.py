@@ -15,7 +15,7 @@ import weakref
 from dataclasses import dataclass, field
 
 from .ontology import DONTCARE, DialogueState, DomainSpec, Ontology, SlotSpec, TemplateConfig
-from .summarize import DEFAULT_PLAN, UNNATURAL_PREFIX, ParaphrasePlan, state_to_summary
+from .summarize import DEFAULT_PLAN, UNNATURAL_PREFIX, ParaphrasePlan
 
 
 @dataclass
@@ -274,17 +274,15 @@ def summary_to_state(
 def reserved_collisions(
     state: DialogueState,
     ontology: Ontology,
-    cfg: TemplateConfig = TemplateConfig(),
-    summary: str | None = None,
+    cfg: TemplateConfig,
+    summary: str,
 ) -> list[str]:
-    """Why ``summary`` (default: ``state`` rendered under ``cfg``) does not parse
-    back to exactly ``state`` with no diagnostics; empty when it does.
+    """Why ``summary``, read under ``cfg``, does not parse back to exactly
+    ``state`` with no diagnostics; empty when it does.
 
     Names each slot that reads back differently, and a value terminator found
     inside its expected value, then lists the parser's diagnostics.
     """
-    if summary is None:
-        summary = state_to_summary(state, ontology, cfg)
     extractor = extractor_for(ontology)
     result = extractor.parse(summary, cfg)
     if result.state == state and not result.diagnostics:

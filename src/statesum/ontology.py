@@ -105,12 +105,6 @@ class DomainSpec:
         """Full first-sentence prefix, e.g. "The user is looking for a taxi"."""
         return f"The user is looking for {self.noun_phrase}"
 
-    def slot(self, slot_name: str) -> SlotSpec:
-        for spec in self.slots:
-            if spec.slot_name == slot_name:
-                return spec
-        raise KeyError(slot_name)
-
 
 @dataclass(eq=False)
 class Ontology:
@@ -164,6 +158,12 @@ def _parse_slot(domain_name: str, slot_name: str, raw: dict) -> SlotSpec:
         if not raw.get("phrase_yes") or not raw.get("phrase_no"):
             raise SchemaError(f"slot {slot_name!r}: boolean slot needs phrase_yes/phrase_no")
     else:
+        try:  # the renderer fills these holes only; a stray brace fails too
+            template.format(v="", a="", unit="")
+        except (AttributeError, IndexError, KeyError, ValueError):
+            raise SchemaError(
+                f"slot {slot_name!r}: template holes must be {{v}}, {{a}} or {{unit}}"
+            ) from None
         if template.count("{v}") != 1:
             raise SchemaError(f"slot {slot_name!r}: template must contain exactly one {{v}} hole")
         # The parser finds a value by the literal text before it.

@@ -193,6 +193,25 @@ def test_schema_with_non_integer_position_exits_2(monkeypatch, capsys, tmp_path)
     assert "'attraction-name': position must be an integer" in err
 
 
+@pytest.mark.parametrize("template", ["called {v} {where}", "called {v} }", "called {v[0]}"])
+def test_schema_with_unknown_template_hole_exits_2(monkeypatch, capsys, tmp_path, template):
+    schema = tmp_path / "schema.yaml"
+    schema.write_text(
+        "domains:\n"
+        "  attraction:\n"
+        "    noun_phrase: an attraction\n"
+        "    detect_phrase: attraction\n"
+        "    slots:\n"
+        f"      attraction-name: {{position: 0, template: '{template}', dontcare_noun: the name}}\n"
+    )
+    state = {"attraction-name": "byard art"}
+    code, _, err = _run(
+        ["--ontology", str(schema), "synth"], monkeypatch, capsys, stdin=json.dumps(state)
+    )
+    assert code == 2
+    assert "'attraction-name': template holes must be {v}, {a} or {unit}" in err
+
+
 @pytest.mark.parametrize("turn_index", [None, "first"])
 def test_eval_non_integer_turn_index_exits_2(monkeypatch, capsys, tmp_path, turn_index):
     predictions = tmp_path / "preds.jsonl"

@@ -18,6 +18,7 @@ from statesum.destate import StateExtractor
 from statesum.summarize import DEFAULT_PLAN
 
 import golden_data as gd
+from conftest import collisions_of
 
 
 def test_inverse_of_attraction_golden(ont):
@@ -181,30 +182,30 @@ def test_parse_counters(ont):
 
 
 def test_reserved_collisions(ont):
-    issues = reserved_collisions({"restaurant-name": "milk and honey"}, ont)
+    issues = collisions_of({"restaurant-name": "milk and honey"}, ont)
     assert issues and "and" in issues[0]
-    assert reserved_collisions({"restaurant-name": "meze bar"}, ont) == []
+    assert collisions_of({"restaurant-name": "meze bar"}, ont) == []
     # Another domain's detection phrase inside a value corrupts cross-domain parsing.
-    assert reserved_collisions({"taxi-departure": "cambridge train station"}, ont)
-    assert not reserved_collisions({"restaurant-name": "city stop restaurant"}, ont)
+    assert collisions_of({"taxi-departure": "cambridge train station"}, ont)
+    assert not collisions_of({"restaurant-name": "city stop restaurant"}, ont)
     # Counted phrases only match integers.
-    assert reserved_collisions({"train-book people": "three"}, ont)
-    assert not reserved_collisions({"train-book people": "3"}, ont)
-    assert not reserved_collisions({"hotel-area": DONTCARE}, ont)
+    assert collisions_of({"train-book people": "three"}, ont)
+    assert not collisions_of({"train-book people": "3"}, ont)
+    assert not collisions_of({"hotel-area": DONTCARE}, ont)
     # Only phrases some template renders are reserved, so "during" is a plain word.
     state = {"attraction-name": "during the war"}
-    assert reserved_collisions(state, ont) == []
+    assert collisions_of(state, ont) == []
     assert summary_to_state(state_to_summary(state, ont), ont) == state
     # Every count slot, hotel-stars included, takes integers only.
-    issues = reserved_collisions({"hotel-stars": "three"}, ont)
+    issues = collisions_of({"hotel-stars": "three"}, ont)
     assert issues == ["hotel-stars: 'three' reads back as None"]
     assert summary_to_state("The user is looking for a place to stay ranked three stars.", ont) == {}
     # A value ending in the first words of a phrase the render completes after it.
-    assert reserved_collisions({"restaurant-book day": "bar leaves", "restaurant-book time": "12:00"}, ont)
-    assert reserved_collisions({"train-day": "kambar Also", "train-arriveby": "12:00"}, ont)
+    assert collisions_of({"restaurant-book day": "bar leaves", "restaurant-book time": "12:00"}, ont)
+    assert collisions_of({"train-day": "kambar Also", "train-arriveby": "12:00"}, ont)
     # The state reads back intact, but the parser reports a stray dontcare noun.
     state = {"attraction-name": "kambar does not care about", "attraction-area": "centre"}
-    assert reserved_collisions(state, ont) == [
+    assert collisions_of(state, ont) == [
         "attraction: unrecognized dontcare noun 'located in the centre'"
     ]
 
@@ -213,11 +214,12 @@ def test_reserved_collisions_do_not_depend_on_hash_seed():
     # Each value holds several template phrases; the issues name the terminator
     # that cuts a value and the parser's diagnostics, fixed across processes.
     script = (
-        "from statesum import default_ontology, reserved_collisions\n"
-        "print(reserved_collisions({'restaurant-name': 'bar and grill for people at noon',"
+        "from statesum import TemplateConfig, default_ontology, reserved_collisions, state_to_summary\n"
+        "state = {'restaurant-name': 'bar and grill for people at noon',"
         " 'hotel-name': 'he looks forward He looks forward',"
-        " 'attraction-name': 'the user is looking forward The user is looking forward'},"
-        " default_ontology()))\n"
+        " 'attraction-name': 'the user is looking forward The user is looking forward'}\n"
+        "ont = default_ontology()\n"
+        "print(reserved_collisions(state, ont, TemplateConfig(), state_to_summary(state, ont)))\n"
     )
     src = str(Path(statesum.__file__).resolve().parents[1])
     outputs = []
@@ -281,4 +283,4 @@ def test_guard_accepts_exactly_the_round_trips(ont):
 def test_value_pools_are_collision_free(ont):
     for slot_name, values in ont.value_pools.items():
         for value in values:
-            assert reserved_collisions({slot_name: value}, ont) == [], (slot_name, value)
+            assert collisions_of({slot_name: value}, ont) == [], (slot_name, value)

@@ -17,10 +17,10 @@ from statesum import (
     state_to_summary,
     summary_to_state,
 )
-from statesum.destate import reserved_collisions
 from statesum.metrics import _clipped_overlap
 
 import golden_data as gd
+from conftest import FIXTURE_COLLIDING_TURNS
 from oracles import (
     ROUGE_HAND_CASES,
     bleu_probe_pairs,
@@ -437,7 +437,7 @@ def _gold_predictions(corpus, ont):
     for split in corpus.splits.values():
         for dialogue in split:
             for turn in dialogue.turns:
-                if reserved_collisions(turn.state, ont):
+                if (dialogue.dialogue_id, turn.index) in FIXTURE_COLLIDING_TURNS:
                     continue
                 rows.append({
                     "dialogue_id": dialogue.dialogue_id,
@@ -485,7 +485,7 @@ def test_evaluate_run_dropped_slot_fraction(mini_corpus, ont, tmp_path):
     for split in mini_corpus.splits.values():
         for dialogue in split:
             for turn in dialogue.turns:
-                if reserved_collisions(turn.state, ont) or not turn.state:
+                if (dialogue.dialogue_id, turn.index) in FIXTURE_COLLIDING_TURNS or not turn.state:
                     continue
                 state = dict(turn.state)
                 state.pop(next(iter(state)))

@@ -10,11 +10,12 @@ from statesum import (
     load_ontology,
     random_state,
     render_slot_phrase,
-    reserved_collisions,
     state_to_summary,
     summary_to_state,
     validate_state,
 )
+
+from conftest import collisions_of
 
 MINIMAL_SCHEMA = """
 domains:
@@ -99,10 +100,10 @@ def test_custom_schema_round_trips(tmp_path):
     ] + [TemplateConfig(naturalness=False)]
     for seed in range(300):
         state = random_state(ont, seed=seed, max_domains=2)
-        assert reserved_collisions(state, ont) == []
+        assert collisions_of(state, ont) == []
         for cfg in configs:
             assert summary_to_state(state_to_summary(state, ont, cfg), ont, cfg) == state, (seed, cfg)
-    issues = reserved_collisions({"attraction-name": "house near the river"}, ont)
+    issues = collisions_of({"attraction-name": "house near the river"}, ont)
     assert issues == [
         "attraction-name: 'house near the river' reads back as 'house' (cut at 'near the')",
         "attraction-area: None reads back as 'river'",
