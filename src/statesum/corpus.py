@@ -189,6 +189,8 @@ def _goal_domains(goal: dict) -> frozenset[str]:
 
 
 def _build_dialogue(dialogue_id: str, raw: dict) -> Dialogue:
+    if not isinstance(raw, dict):
+        raise CorpusError("record is not an object")
     goal = raw.get("goal")
     logturns = raw.get("log")
     if not isinstance(goal, dict) or not isinstance(logturns, list) or not logturns:
@@ -201,8 +203,13 @@ def _build_dialogue(dialogue_id: str, raw: dict) -> Dialogue:
     for index in range(len(logturns) // 2):
         user = logturns[2 * index]
         system_reply = logturns[2 * index + 1]
+        if not isinstance(user, dict) or not isinstance(system_reply, dict):
+            raise CorpusError(f"turn {index}: log entry is not an object")
         if "text" not in user or "text" not in system_reply:
             raise CorpusError(f"turn {index}: log entry without text")
+        metadata = system_reply.get("metadata") or {}
+        if not isinstance(metadata, dict):
+            raise CorpusError(f"turn {index}: metadata is not an object")
         previous_system = logturns[2 * index - 1]["text"] if index > 0 else ""
         history_lines.append(f"system: {previous_system}")
         history_lines.append(f"user: {user['text']}")
@@ -211,7 +218,7 @@ def _build_dialogue(dialogue_id: str, raw: dict) -> Dialogue:
                 index=index,
                 user_utterance=user["text"],
                 system_utterance=previous_system,
-                state=_state_from_metadata(system_reply.get("metadata") or {}),
+                state=_state_from_metadata(metadata),
                 history_text="\n".join(history_lines),
             )
         )
@@ -297,6 +304,8 @@ def load_multiwoz(path: str | Path, version: str = "2.1") -> Corpus:
 
 def _load_archive(path: Path, version: str) -> Corpus:
     data, dev_ids, test_ids = _read_archive(path)
+    if not isinstance(data, dict):
+        raise CorpusError(f"{path}: data.json is not an object of dialogue records")
 
     diagnostics: list[str] = []
     splits: dict[str, list[Dialogue]] = {"train": [], "dev": [], "test": []}
@@ -482,6 +491,8 @@ def load_predictions(
                 payload = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CorpusError(f"line {line_no}: invalid JSON ({exc})") from exc
+            if not isinstance(payload, dict):
+                raise CorpusError(f"line {line_no}: expected a JSON object")
             for key in ("dialogue_id", "turn_index", "predicted_summary"):
                 if key not in payload:
                     raise CorpusError(f"line {line_no}: missing {key!r}")

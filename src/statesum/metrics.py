@@ -128,8 +128,11 @@ def slot_accuracy(
 # -- n-gram overlap metrics ------------------------------------------------------
 
 
-def _clipped_overlap(cand_tokens: list[str], ref_tokens: list[str], n: int) -> int:
-    """Candidate n-grams matched in the reference, each clipped to its count there.
+def _clipped_overlaps(
+    cand_tokens: list[str], ref_tokens: list[str], orders: tuple[int, ...]
+) -> list[int]:
+    """For each ``n`` in ``orders``, the candidate n-grams matched in the
+    reference, each clipped to its count there.
 
     Every n-gram lying wholly inside the common token prefix, or wholly inside
     the common suffix (capped so the two do not overlap), occurs at the same
@@ -137,10 +140,17 @@ def _clipped_overlap(cand_tokens: list[str], ref_tokens: list[str], n: int) -> i
     and ``cut = max(suffix-n+1, 0)`` of them. The overlap is those plus the
     clipped overlap of ``tokens[start : len-cut]`` on each side, which is exact
     because a multiset added to both sides adds its size to the clipped count.
+    The prefix and suffix are scanned once for all orders.
+
+    Every n-gram of a window holds a token of its side's differing middle
+    ``tokens[prefix : len-suffix]`` when that middle is nonempty. So if one
+    side's middle is nonempty and shares no token with the other side's window
+    for the largest order (which holds the windows of all smaller orders),
+    no window n-gram matches, and only the n-grams matched in place count.
     """
-    if cand_tokens == ref_tokens:
-        return max(len(cand_tokens) - n + 1, 0)
     cand_len, ref_len = len(cand_tokens), len(ref_tokens)
+    if cand_tokens == ref_tokens:
+        return [max(cand_len - n + 1, 0) for n in orders]
     limit = min(cand_len, ref_len)
     prefix = 0
     while prefix < limit and cand_tokens[prefix] == ref_tokens[prefix]:
@@ -149,19 +159,34 @@ def _clipped_overlap(cand_tokens: list[str], ref_tokens: list[str], n: int) -> i
     suffix = 0
     while suffix < limit and cand_tokens[-1 - suffix] == ref_tokens[-1 - suffix]:
         suffix += 1
-    start = max(prefix - n + 1, 0)
-    cut = max(suffix - n + 1, 0)
-    cand = cand_tokens[start : cand_len - cut]
-    ref = ref_tokens[start : ref_len - cut]
-    if n > 1:
-        cand = list(zip(*(cand[i:] for i in range(n))))
-        ref = list(zip(*(ref[i:] for i in range(n))))
-    cand_set, ref_set = set(cand), set(ref)
-    if len(cand_set) == len(cand) or len(ref_set) == len(ref):
-        # Without repeats on one side every clip is 0 or 1: a set intersection.
-        return start + cut + len(cand_set & ref_set)
-    ref_counts = Counter(ref)
-    return start + cut + sum(min(c, ref_counts[g]) for g, c in Counter(cand).items())
+    widest = max(orders)
+    lo = max(prefix - widest + 1, 0)
+    hi = max(suffix - widest + 1, 0)
+    cand_mid = cand_tokens[prefix : cand_len - suffix]
+    ref_mid = ref_tokens[prefix : ref_len - suffix]
+    if (cand_mid and set(cand_mid).isdisjoint(ref_tokens[lo : ref_len - hi])) or (
+        ref_mid and set(ref_mid).isdisjoint(cand_tokens[lo : cand_len - hi])
+    ):
+        return [max(prefix - n + 1, 0) + max(suffix - n + 1, 0) for n in orders]
+    overlaps = []
+    for n in orders:
+        start = max(prefix - n + 1, 0)
+        cut = max(suffix - n + 1, 0)
+        cand = cand_tokens[start : cand_len - cut]
+        ref = ref_tokens[start : ref_len - cut]
+        if n > 1:
+            cand = list(zip(*(cand[i:] for i in range(n))))
+            ref = list(zip(*(ref[i:] for i in range(n))))
+        cand_set, ref_set = set(cand), set(ref)
+        if len(cand_set) == len(cand) or len(ref_set) == len(ref):
+            # Without repeats on one side every clip is 0 or 1: a set intersection.
+            overlaps.append(start + cut + len(cand_set & ref_set))
+        else:
+            ref_counts = Counter(ref)
+            overlaps.append(
+                start + cut + sum(min(c, ref_counts[g]) for g, c in Counter(cand).items())
+            )
+    return overlaps
 
 
 def bleu4(candidates: list[str], references: list[str]) -> float:
@@ -179,9 +204,10 @@ def bleu4(candidates: list[str], references: list[str]) -> float:
         ref_tokens = cand_tokens if candidate == reference else reference.split()
         cand_len += len(cand_tokens)
         ref_len += len(ref_tokens)
-        for n in range(1, 5):
-            totals[n - 1] += max(len(cand_tokens) - n + 1, 0)
-            clipped[n - 1] += _clipped_overlap(cand_tokens, ref_tokens, n)
+        overlaps = _clipped_overlaps(cand_tokens, ref_tokens, (1, 2, 3, 4))
+        for i, matched in enumerate(overlaps):
+            totals[i] += max(len(cand_tokens) - i, 0)
+            clipped[i] += matched
     if cand_len == 0:
         return 0.0
     log_precision = 0.0
@@ -192,22 +218,30 @@ def bleu4(candidates: list[str], references: list[str]) -> float:
     return brevity * math.exp(log_precision)
 
 
+def _rouge_f1s(candidate: str, reference: str, orders: tuple[int, ...]) -> list[float]:
+    """``rouge_n_f1`` for each order, lowercasing and splitting each text once."""
+    cand_tokens = candidate.lower().split()
+    ref_tokens = cand_tokens if candidate == reference else reference.lower().split()
+    scores = []
+    for n, matched in zip(orders, _clipped_overlaps(cand_tokens, ref_tokens, orders)):
+        cand_total = max(len(cand_tokens) - n + 1, 0)
+        ref_total = max(len(ref_tokens) - n + 1, 0)
+        if cand_total == 0 or ref_total == 0:
+            scores.append(1.0 if cand_total == ref_total else 0.0)
+        elif matched == 0:
+            scores.append(0.0)
+        else:
+            precision = matched / cand_total
+            recall = matched / ref_total
+            scores.append(2 * precision * recall / (precision + recall))
+    return scores
+
+
 def rouge_n_f1(candidate: str, reference: str, n: int) -> float:
     """F1 of clipped n-gram overlap; whitespace tokens after lowercasing."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    cand_tokens = candidate.lower().split()
-    ref_tokens = cand_tokens if candidate == reference else reference.lower().split()
-    cand_total = max(len(cand_tokens) - n + 1, 0)
-    ref_total = max(len(ref_tokens) - n + 1, 0)
-    if cand_total == 0 or ref_total == 0:
-        return 1.0 if cand_total == ref_total else 0.0
-    matched = _clipped_overlap(cand_tokens, ref_tokens, n)
-    if matched == 0:
-        return 0.0
-    precision = matched / cand_total
-    recall = matched / ref_total
-    return 2 * precision * recall / (precision + recall)
+    return _rouge_f1s(candidate, reference, (n,))[0]
 
 
 # -- error taxonomy -------------------------------------------------------------
@@ -310,10 +344,14 @@ def evaluate_run(
 
     Each predicted summary is parsed exactly once. Gold summaries (for the
     text-overlap metrics) are rendered with canonical domain order, which the
-    report records. Each report field is computed by the public function of
-    the same name, over the (predicted, gold) state pairs or the predicted and
-    gold summaries in (dialogue_id, turn_index) order; ``rouge_n_f1`` is the
-    per-turn mean and ``error_counts`` tallies ``classify_errors``.
+    report records; while the gold state stays unchanged from one record to
+    the next (same slots, values and slot order), the previous gold summary
+    is reused instead of rendered again. Each report field is computed by the
+    public function of the same name, over the (predicted, gold) state pairs
+    or the predicted and gold summaries in (dialogue_id, turn_index) order;
+    ``rouge_n_f1`` is the per-turn mean, with the three ROUGE orders sharing
+    one tokenisation of each pair, and ``error_counts`` tallies
+    ``classify_errors``.
     """
     diagnostics: list[str] = []
     records: list[PredictionRecord] = load_predictions(predictions_path, diagnostics)
@@ -336,6 +374,7 @@ def evaluate_run(
     references = []
     error_counts = dict.fromkeys(ERROR_KINDS, 0)
     per_turn_diagnostics = []
+    gold_state: DialogueState | None = None
     records.sort(key=lambda r: (r.dialogue_id, r.turn_index))
     for record in records:
         turn = turns[(record.dialogue_id, record.turn_index)]
@@ -343,7 +382,11 @@ def evaluate_run(
         record.predicted_state = parsed.state
         pairs.append((parsed.state, turn.state))
         candidates.append(record.predicted_summary)
-        references.append(state_to_summary(turn.state, ontology, gold_cfg))
+        # The render follows the state's slot order, so a reuse needs that order too.
+        if turn.state != gold_state or list(turn.state) != list(gold_state):
+            gold_state = turn.state
+            reference = state_to_summary(gold_state, ontology, gold_cfg)
+        references.append(reference)
         for error in classify_errors(parsed.state, turn.state, ontology):
             error_counts[error.kind] += 1
         if parsed.diagnostics:
@@ -362,10 +405,11 @@ def evaluate_run(
         raise EvaluationError("prediction file contains no records")
 
     # A running sum in record order: sum() rounds differently on Python 3.12+.
-    rouge_sums = {1: 0.0, 2: 0.0, 4: 0.0}
+    rouge_orders = (1, 2, 4)
+    rouge_sums = [0.0, 0.0, 0.0]
     for candidate, reference in zip(candidates, references):
-        for n in rouge_sums:
-            rouge_sums[n] += rouge_n_f1(candidate, reference, n)
+        for i, score in enumerate(_rouge_f1s(candidate, reference, rouge_orders)):
+            rouge_sums[i] += score
     true_acc, none_acc = slot_accuracy(pairs, ontology)
     report = Report(
         n_turns=len(pairs),
@@ -375,7 +419,7 @@ def evaluate_run(
         slot_true_acc=true_acc,
         slot_none_acc=none_acc,
         bleu4=bleu4(candidates, references),
-        rouge_n_f1={n: total / len(pairs) for n, total in rouge_sums.items()},
+        rouge_n_f1={n: total / len(pairs) for n, total in zip(rouge_orders, rouge_sums)},
         error_counts=error_counts,
         gold_summary_domain_order="canonical",
         diagnostics=diagnostics,

@@ -198,6 +198,8 @@ def _parse_domain(domain_name: str, raw: dict) -> DomainSpec:
         raise SchemaError(f"unknown domain {domain_name!r}")
     if not isinstance(raw, dict) or not raw.get("slots"):
         raise SchemaError(f"domain {domain_name!r}: missing slots")
+    if not isinstance(raw["slots"], dict):
+        raise SchemaError(f"domain {domain_name!r}: slots must be a mapping")
     if not raw.get("noun_phrase") or not raw.get("detect_phrase"):
         raise SchemaError(f"domain {domain_name!r}: missing noun_phrase or detect_phrase")
 
@@ -227,6 +229,8 @@ def _build_ontology(doc: dict) -> Ontology:
     raw_domains = doc.get("domains")
     if not raw_domains:
         raise SchemaError("schema has no domains")
+    if not isinstance(raw_domains, dict):
+        raise SchemaError("domains must be a mapping")
 
     domains: dict[str, DomainSpec] = {}
     seen_slots: set[str] = set()
@@ -238,7 +242,10 @@ def _build_ontology(doc: dict) -> Ontology:
             seen_slots.add(slot.slot_name)
         domains[spec.domain_name] = spec
 
-    pools = {str(k): [str(v) for v in vs] for k, vs in (doc.get("value_pools") or {}).items()}
+    raw_pools = doc.get("value_pools") or {}
+    if not isinstance(raw_pools, dict) or not all(isinstance(vs, list) for vs in raw_pools.values()):
+        raise SchemaError("value_pools must map slot names to lists")
+    pools = {str(k): [str(v) for v in vs] for k, vs in raw_pools.items()}
     for slot_name in pools:
         if not any(slot_name in {s.slot_name for s in d.slots} for d in domains.values()):
             raise SchemaError(f"value pool for unknown slot {slot_name!r}")

@@ -212,6 +212,61 @@ def test_schema_with_unknown_template_hole_exits_2(monkeypatch, capsys, tmp_path
     assert "'attraction-name': template holes must be {v}, {a} or {unit}" in err
 
 
+_ATTRACTION_DOMAIN = (
+    "  attraction:\n"
+    "    noun_phrase: an attraction\n"
+    "    detect_phrase: attraction\n"
+)
+_NAME_SLOT = "attraction-name: {position: 0, template: 'called {v}', dontcare_noun: the name}"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("domains: [attraction]\n", "domains must be a mapping"),
+        (
+            "domains:\n" + _ATTRACTION_DOMAIN + "    slots: [attraction-name, attraction-area]\n",
+            "'attraction': slots must be a mapping",
+        ),
+        (
+            "domains:\n" + _ATTRACTION_DOMAIN + f"    slots:\n      {_NAME_SLOT}\n"
+            "value_pools: [attraction-name]\n",
+            "value_pools must map slot names to lists",
+        ),
+        (
+            "domains:\n" + _ATTRACTION_DOMAIN + f"    slots:\n      {_NAME_SLOT}\n"
+            "value_pools:\n  attraction-name: byard art\n",
+            "value_pools must map slot names to lists",
+        ),
+    ],
+    ids=["domains-list", "slots-list", "value-pools-list", "value-pool-string"],
+)
+def test_schema_with_non_mapping_section_exits_2(monkeypatch, capsys, tmp_path, text, message):
+    schema = tmp_path / "schema.yaml"
+    schema.write_text(text)
+    code, _, err = _run(
+        ["--ontology", str(schema), "synth"], monkeypatch, capsys, stdin=json.dumps({})
+    )
+    assert code == 2
+    assert message in err
+
+
+@pytest.mark.parametrize("line", ["5", "null", "[1]", '"text"'])
+def test_eval_non_object_prediction_line_exits_2(monkeypatch, capsys, tmp_path, line):
+    predictions = tmp_path / "preds.jsonl"
+    predictions.write_text(
+        json.dumps({"dialogue_id": "SNG0001.json", "turn_index": 0, "predicted_summary": ""})
+        + "\n" + line + "\n"
+    )
+    code, _, err = _run(
+        ["eval", "--corpus", str(FIXTURE_CORPUS), "--predictions", str(predictions),
+         "--out", str(tmp_path / "r.json")],
+        monkeypatch, capsys,
+    )
+    assert code == 2
+    assert "line 2: expected a JSON object" in err
+
+
 @pytest.mark.parametrize("turn_index", [None, "first"])
 def test_eval_non_integer_turn_index_exits_2(monkeypatch, capsys, tmp_path, turn_index):
     predictions = tmp_path / "preds.jsonl"

@@ -210,6 +210,41 @@ def test_malformed_dialogue_skipped(tmp_path):
     assert any("BAD0001" in d for d in corpus.diagnostics)
 
 
+def test_non_object_entries_skipped(tmp_path):
+    raw = json.loads((FIXTURE_CORPUS / "data.json").read_text())
+    good = raw["SNG0002.json"]
+
+    def with_log_entry(position, entry):
+        return {**good, "log": [*good["log"][:position], entry, *good["log"][position + 1:]]}
+
+    data = {
+        "BAD0001.json": [1, 2],
+        "BAD0002.json": with_log_entry(0, 5),
+        "BAD0003.json": with_log_entry(1, "text"),
+        "BAD0004.json": with_log_entry(1, {**good["log"][1], "metadata": [1]}),
+        "OK0001.json": good,
+    }
+    (tmp_path / "data.json").write_text(json.dumps(data))
+    (tmp_path / "valListFile.json").write_text("")
+    (tmp_path / "testListFile.json").write_text("")
+    corpus = load_multiwoz(tmp_path)
+    assert [d.dialogue_id for d in corpus.train] == ["OK0001.json"]
+    assert corpus.diagnostics == [
+        "BAD0001.json: skipped (record is not an object)",
+        "BAD0002.json: skipped (turn 0: log entry is not an object)",
+        "BAD0003.json: skipped (turn 0: log entry is not an object)",
+        "BAD0004.json: skipped (turn 0: metadata is not an object)",
+    ]
+
+
+def test_non_object_data_file_is_an_error(tmp_path):
+    (tmp_path / "data.json").write_text("[]")
+    (tmp_path / "valListFile.json").write_text("")
+    (tmp_path / "testListFile.json").write_text("")
+    with pytest.raises(CorpusError, match="not an object"):
+        load_multiwoz(tmp_path)
+
+
 # -- few-shot sampling -----------------------------------------------------------
 
 

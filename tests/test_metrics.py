@@ -17,7 +17,9 @@ from statesum import (
     state_to_summary,
     summary_to_state,
 )
-from statesum.metrics import _clipped_overlap
+from statesum import metrics
+from statesum.corpus import Corpus, Dialogue, Turn
+from statesum.metrics import _clipped_overlaps, _rouge_f1s
 
 import golden_data as gd
 from conftest import FIXTURE_COLLIDING_TURNS
@@ -233,7 +235,17 @@ def _overlap_cases(draw):
 @given(case=_overlap_cases())
 def test_clipped_overlap_matches_independent_implementation(case):
     cand, ref, n = case
-    assert _clipped_overlap(cand, ref, n) == reference_clipped_overlap(cand, ref, n)
+    assert _clipped_overlaps(cand, ref, (n,)) == [reference_clipped_overlap(cand, ref, n)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=_overlap_cases(), orders=st.lists(st.integers(1, 6), min_size=1, max_size=5))
+def test_clipped_overlaps_matches_independent_implementation_for_every_order(case, orders):
+    cand, ref, _ = case
+    orders = tuple(orders)
+    assert _clipped_overlaps(cand, ref, orders) == [
+        reference_clipped_overlap(cand, ref, n) for n in orders
+    ]
 
 
 @pytest.mark.parametrize(
@@ -258,7 +270,7 @@ def test_clipped_overlap_matches_independent_implementation(case):
 )
 def test_clipped_overlap_edge_cases(cand, ref, n, expected):
     cand, ref = cand.split(), ref.split()
-    assert _clipped_overlap(cand, ref, n) == expected
+    assert _clipped_overlaps(cand, ref, (n,)) == [expected]
     assert reference_clipped_overlap(cand, ref, n) == expected
 
 
@@ -294,6 +306,15 @@ def test_rouge_matches_independent_implementation(ont, n):
         assert rouge_n_f1(candidate, reference, n) == pytest.approx(
             reference_rouge_n_f1(candidate, reference, n), abs=1e-12
         )
+
+
+def test_rouge_orders_together_match_independent_implementation(ont):
+    pairs = [*bleu_probe_pairs(ont), *((c, r) for c, r, _, _ in ROUGE_HAND_CASES)]
+    for candidate, reference in pairs:
+        assert _rouge_f1s(candidate, reference, (1, 2, 4)) == [
+            pytest.approx(reference_rouge_n_f1(candidate, reference, n), abs=1e-12)
+            for n in (1, 2, 4)
+        ]
 
 
 def test_rouge_degenerate_lengths():
@@ -526,6 +547,48 @@ def test_report_bounds(mini_corpus, ont, tmp_path):
     ]
     assert all(0.0 <= v <= 1.0 for v in values)
     assert sum(report.error_counts.values()) >= 1
+
+
+def test_evaluate_run_renders_gold_once_per_unchanged_state(ont, tmp_path, monkeypatch):
+    hotel = {"hotel-area": "north"}
+    both = {"hotel-area": "north", "train-day": "monday"}
+    reordered = {"train-day": "monday", "hotel-area": "north"}
+    # Records in sorted order; an equal state in a new slot order renders differently.
+    gold = {
+        ("A.json", 0): {},
+        ("A.json", 1): dict(hotel),
+        ("A.json", 2): dict(hotel),  # repeat: reused
+        ("A.json", 3): dict(both),
+        ("A.json", 4): dict(reordered),  # equal to the previous, other order: rendered
+        ("B.json", 0): dict(reordered),  # repeat across dialogues: reused
+        ("B.json", 1): dict(hotel),  # seen before, but not the previous state: rendered
+    }
+    dialogues = [
+        Dialogue(
+            dialogue_id=name,
+            turns=[Turn(i, "", "", state, "") for (d, i), state in gold.items() if d == name],
+            domains=frozenset({"hotel", "train"}),
+        )
+        for name in ("A.json", "B.json")
+    ]
+    corpus = Corpus(version="2.1", splits={"test": dialogues})
+    preds = tmp_path / "preds.jsonl"
+    # Written in reverse: the reuse must follow evaluate_run's sorted order.
+    _write_predictions(preds, [
+        {"dialogue_id": d, "turn_index": i, "predicted_summary": state_to_summary(state, ont)}
+        for (d, i), state in reversed(gold.items())
+    ])
+    renders = []
+
+    def counting_render(state, *args, **kwargs):
+        renders.append(list(state.items()))
+        return state_to_summary(state, *args, **kwargs)
+
+    monkeypatch.setattr(metrics, "state_to_summary", counting_render)
+    report = evaluate_run(preds, corpus, ont)
+    assert renders == [list(s.items()) for s in ({}, hotel, both, reordered, hotel)]
+    assert report.bleu4 == pytest.approx(1.0, abs=1e-9)
+    assert report.rouge_n_f1 == {1: 1.0, 2: 1.0, 4: 1.0}
 
 
 GOLDEN_EVAL = Path(__file__).parent / "data" / "golden_eval"
