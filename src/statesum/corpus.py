@@ -479,7 +479,8 @@ def load_predictions(
     """Read {dialogue_id, turn_index, predicted_summary} JSONL records.
 
     Duplicate (dialogue_id, turn_index) keys keep the last record and emit a
-    diagnostic; a missing field raises with its line number.
+    diagnostic; a missing field, or a ``predicted_summary`` that is not a
+    string, raises with its line number.
     """
     diags = diagnostics if diagnostics is not None else []
     records: dict[tuple[str, int], PredictionRecord] = {}
@@ -500,10 +501,12 @@ def load_predictions(
                 turn_index = int(payload["turn_index"])
             except (TypeError, ValueError):
                 raise CorpusError(f"line {line_no}: turn_index is not an integer") from None
+            if not isinstance(payload["predicted_summary"], str):
+                raise CorpusError(f"line {line_no}: predicted_summary is not a string")
             record = PredictionRecord(
                 dialogue_id=str(payload["dialogue_id"]),
                 turn_index=turn_index,
-                predicted_summary=str(payload["predicted_summary"]),
+                predicted_summary=payload["predicted_summary"],
             )
             key = (record.dialogue_id, record.turn_index)
             if key in records:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -22,6 +23,8 @@ from .summarize import state_to_summary
 ERROR_KINDS = ("hallucination", "missing_slot", "wrong_slot")
 
 _BLEU_EPS = 1e-9
+_BLEU_ORDERS = (1, 2, 3, 4)
+_ROUGE_ORDERS = (1, 2, 4)
 
 
 @dataclass(frozen=True)
@@ -130,17 +133,19 @@ def slot_accuracy(
 
 def _clipped_overlaps(
     cand_tokens: list[str], ref_tokens: list[str], orders: tuple[int, ...]
-) -> list[int]:
+) -> tuple[list[int], list[str], list[str]]:
     """For each ``n`` in ``orders``, the candidate n-grams matched in the
-    reference, each clipped to its count there.
+    reference, each clipped to its count there; then the candidate and
+    reference windows of the largest order, which hold every n-gram of every
+    order that is not matched in place (both empty for equal lists).
 
     Every n-gram lying wholly inside the common token prefix, or wholly inside
     the common suffix (capped so the two do not overlap), occurs at the same
     place on both sides, so it matches: there are ``start = max(prefix-n+1, 0)``
     and ``cut = max(suffix-n+1, 0)`` of them. The overlap is those plus the
-    clipped overlap of ``tokens[start : len-cut]`` on each side, which is exact
-    because a multiset added to both sides adds its size to the clipped count.
-    The prefix and suffix are scanned once for all orders.
+    clipped overlap of the window ``tokens[start : len-cut]`` on each side,
+    which is exact because a multiset added to both sides adds its size to the
+    clipped count. The prefix and suffix are scanned once for all orders.
 
     Every n-gram of a window holds a token of its side's differing middle
     ``tokens[prefix : len-suffix]`` when that middle is nonempty. So if one
@@ -150,7 +155,7 @@ def _clipped_overlaps(
     """
     cand_len, ref_len = len(cand_tokens), len(ref_tokens)
     if cand_tokens == ref_tokens:
-        return [max(cand_len - n + 1, 0) for n in orders]
+        return [max(cand_len - n + 1, 0) for n in orders], [], []
     limit = min(cand_len, ref_len)
     prefix = 0
     while prefix < limit and cand_tokens[prefix] == ref_tokens[prefix]:
@@ -162,12 +167,15 @@ def _clipped_overlaps(
     widest = max(orders)
     lo = max(prefix - widest + 1, 0)
     hi = max(suffix - widest + 1, 0)
+    cand_window = cand_tokens[lo : cand_len - hi]
+    ref_window = ref_tokens[lo : ref_len - hi]
     cand_mid = cand_tokens[prefix : cand_len - suffix]
     ref_mid = ref_tokens[prefix : ref_len - suffix]
-    if (cand_mid and set(cand_mid).isdisjoint(ref_tokens[lo : ref_len - hi])) or (
-        ref_mid and set(ref_mid).isdisjoint(cand_tokens[lo : cand_len - hi])
+    if (cand_mid and set(cand_mid).isdisjoint(ref_window)) or (
+        ref_mid and set(ref_mid).isdisjoint(cand_window)
     ):
-        return [max(prefix - n + 1, 0) + max(suffix - n + 1, 0) for n in orders]
+        overlaps = [max(prefix - n + 1, 0) + max(suffix - n + 1, 0) for n in orders]
+        return overlaps, cand_window, ref_window
     overlaps = []
     for n in orders:
         start = max(prefix - n + 1, 0)
@@ -186,27 +194,54 @@ def _clipped_overlaps(
             overlaps.append(
                 start + cut + sum(min(c, ref_counts[g]) for g, c in Counter(cand).items())
             )
-    return overlaps
+    return overlaps, cand_window, ref_window
 
 
-def bleu4(candidates: list[str], references: list[str]) -> float:
-    """Corpus-level BLEU with 4-gram precisions, uniform weights, and brevity
-    penalty; zero n-gram counts are smoothed with an epsilon numerator."""
-    if len(candidates) != len(references):
-        raise ValueError("candidates and references must have equal length")
-    if not candidates:
-        raise ValueError("BLEU is undefined for an empty corpus")
+# (candidate token count, reference token count, clipped overlap for each order)
+_Counts = tuple[int, int, list[int]]
+
+
+def _ngram_counts(
+    candidate: str, reference: str, orders: tuple[int, ...], lowercase: bool
+) -> tuple[_Counts, _Counts | None]:
+    """One pair's counts over whitespace tokens for ``orders``; then, if
+    ``lowercase``, the same counts over the lowercased texts (ROUGE's tokens).
+
+    The lowercased counts reuse the cased ones when both texts are ASCII, so
+    that lowering each token gives ``text.lower().split()``, and lowering
+    keeps the tokens of the two windows from ``_clipped_overlaps`` distinct.
+    The n-grams matched in place in the common prefix and suffix still match
+    after lowering, and all others lie in the windows, where a lowering that
+    merges no two tokens changes no clipped count; token totals do not change.
+    Otherwise the lowercased texts are split and counted again.
+    """
+    cand_tokens = candidate.split()
+    ref_tokens = cand_tokens if candidate == reference else reference.split()
+    overlaps, cand_window, ref_window = _clipped_overlaps(cand_tokens, ref_tokens, orders)
+    cased = (len(cand_tokens), len(ref_tokens), overlaps)
+    if not lowercase:
+        return cased, None
+    if candidate.isascii() and reference.isascii():
+        window = set(cand_window)
+        window.update(ref_window)
+        if len({token.lower() for token in window}) == len(window):
+            return cased, cased
+    cand_tokens = candidate.lower().split()
+    ref_tokens = cand_tokens if candidate == reference else reference.lower().split()
+    overlaps = _clipped_overlaps(cand_tokens, ref_tokens, orders)[0]
+    return cased, (len(cand_tokens), len(ref_tokens), overlaps)
+
+
+def _bleu(pair_counts: Iterable[_Counts]) -> float:
+    """BLEU-4 from each pair's cased counts for orders 1-4."""
     clipped = [0, 0, 0, 0]
     totals = [0, 0, 0, 0]
     cand_len = ref_len = 0
-    for candidate, reference in zip(candidates, references):
-        cand_tokens = candidate.split()
-        ref_tokens = cand_tokens if candidate == reference else reference.split()
-        cand_len += len(cand_tokens)
-        ref_len += len(ref_tokens)
-        overlaps = _clipped_overlaps(cand_tokens, ref_tokens, (1, 2, 3, 4))
+    for pair_cand_len, pair_ref_len, overlaps in pair_counts:
+        cand_len += pair_cand_len
+        ref_len += pair_ref_len
         for i, matched in enumerate(overlaps):
-            totals[i] += max(len(cand_tokens) - i, 0)
+            totals[i] += max(pair_cand_len - i, 0)
             clipped[i] += matched
     if cand_len == 0:
         return 0.0
@@ -218,30 +253,38 @@ def bleu4(candidates: list[str], references: list[str]) -> float:
     return brevity * math.exp(log_precision)
 
 
-def _rouge_f1s(candidate: str, reference: str, orders: tuple[int, ...]) -> list[float]:
-    """``rouge_n_f1`` for each order, lowercasing and splitting each text once."""
-    cand_tokens = candidate.lower().split()
-    ref_tokens = cand_tokens if candidate == reference else reference.lower().split()
-    scores = []
-    for n, matched in zip(orders, _clipped_overlaps(cand_tokens, ref_tokens, orders)):
-        cand_total = max(len(cand_tokens) - n + 1, 0)
-        ref_total = max(len(ref_tokens) - n + 1, 0)
-        if cand_total == 0 or ref_total == 0:
-            scores.append(1.0 if cand_total == ref_total else 0.0)
-        elif matched == 0:
-            scores.append(0.0)
-        else:
-            precision = matched / cand_total
-            recall = matched / ref_total
-            scores.append(2 * precision * recall / (precision + recall))
-    return scores
+def _rouge_f1(cand_len: int, ref_len: int, n: int, matched: int) -> float:
+    """ROUGE-n F1 of one pair from its lowercased token counts and overlap."""
+    cand_total = max(cand_len - n + 1, 0)
+    ref_total = max(ref_len - n + 1, 0)
+    if cand_total == 0 or ref_total == 0:
+        return 1.0 if cand_total == ref_total else 0.0
+    if matched == 0:
+        return 0.0
+    precision = matched / cand_total
+    recall = matched / ref_total
+    return 2 * precision * recall / (precision + recall)
+
+
+def bleu4(candidates: list[str], references: list[str]) -> float:
+    """Corpus-level BLEU with 4-gram precisions, uniform weights, and brevity
+    penalty; zero n-gram counts are smoothed with an epsilon numerator."""
+    if len(candidates) != len(references):
+        raise ValueError("candidates and references must have equal length")
+    if not candidates:
+        raise ValueError("BLEU is undefined for an empty corpus")
+    return _bleu(
+        _ngram_counts(candidate, reference, _BLEU_ORDERS, False)[0]
+        for candidate, reference in zip(candidates, references)
+    )
 
 
 def rouge_n_f1(candidate: str, reference: str, n: int) -> float:
     """F1 of clipped n-gram overlap; whitespace tokens after lowercasing."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _rouge_f1s(candidate, reference, (n,))[0]
+    cand_len, ref_len, (matched,) = _ngram_counts(candidate, reference, (n,), True)[1]
+    return _rouge_f1(cand_len, ref_len, n, matched)
 
 
 # -- error taxonomy -------------------------------------------------------------
@@ -346,12 +389,14 @@ def evaluate_run(
     text-overlap metrics) are rendered with canonical domain order, which the
     report records; while the gold state stays unchanged from one record to
     the next (same slots, values and slot order), the previous gold summary
-    is reused instead of rendered again. Each report field is computed by the
-    public function of the same name, over the (predicted, gold) state pairs
-    or the predicted and gold summaries in (dialogue_id, turn_index) order;
-    ``rouge_n_f1`` is the per-turn mean, with the three ROUGE orders sharing
-    one tokenisation of each pair, and ``error_counts`` tallies
-    ``classify_errors``.
+    is reused instead of rendered again. Each report field equals the public
+    function of the same name, over the (predicted, gold) state pairs or the
+    predicted and gold summaries in (dialogue_id, turn_index) order;
+    ``rouge_n_f1`` is the per-turn mean, and ``error_counts`` tallies
+    ``classify_errors``. Each summary pair is split and counted once for
+    orders 1-4, and ROUGE-1/2/4 reuse BLEU's cased counts; the pair is
+    lowercased and counted again only when a text is not ASCII or lowering
+    merges two tokens of the windows where the texts differ.
     """
     diagnostics: list[str] = []
     records: list[PredictionRecord] = load_predictions(predictions_path, diagnostics)
@@ -404,12 +449,17 @@ def evaluate_run(
     if not pairs:
         raise EvaluationError("prediction file contains no records")
 
-    # A running sum in record order: sum() rounds differently on Python 3.12+.
-    rouge_orders = (1, 2, 4)
+    # One count per pair serves BLEU and ROUGE. ROUGE is a running sum in
+    # record order: sum() rounds differently on Python 3.12+.
+    bleu_counts = []
     rouge_sums = [0.0, 0.0, 0.0]
     for candidate, reference in zip(candidates, references):
-        for i, score in enumerate(_rouge_f1s(candidate, reference, rouge_orders)):
-            rouge_sums[i] += score
+        cased, (cand_len, ref_len, overlaps) = _ngram_counts(
+            candidate, reference, _BLEU_ORDERS, True
+        )
+        bleu_counts.append(cased)
+        for i, n in enumerate(_ROUGE_ORDERS):
+            rouge_sums[i] += _rouge_f1(cand_len, ref_len, n, overlaps[n - 1])
     true_acc, none_acc = slot_accuracy(pairs, ontology)
     report = Report(
         n_turns=len(pairs),
@@ -418,8 +468,8 @@ def evaluate_run(
         per_domain_jga={d: joint_goal_accuracy(pairs, d) for d in ontology.domains},
         slot_true_acc=true_acc,
         slot_none_acc=none_acc,
-        bleu4=bleu4(candidates, references),
-        rouge_n_f1={n: total / len(pairs) for n, total in zip(rouge_orders, rouge_sums)},
+        bleu4=_bleu(bleu_counts),
+        rouge_n_f1={n: total / len(pairs) for n, total in zip(_ROUGE_ORDERS, rouge_sums)},
         error_counts=error_counts,
         gold_summary_domain_order="canonical",
         diagnostics=diagnostics,

@@ -139,9 +139,14 @@ def split_state_by_domain(state: DialogueState, ontology: Ontology) -> dict[str,
     return groups
 
 
-def _domain_sequence(groups: dict[str, DialogueState], cfg, rng) -> list[str]:
+def _domain_sequence(
+    groups: dict[str, DialogueState], ontology: Ontology, cfg, rng
+) -> list[str]:
+    """Canonical order is the schema's; a shuffle permutes first-appearance order."""
+    if cfg.domain_order == "canonical":
+        return [name for name in ontology.domains if name in groups]
     names = list(groups)
-    if cfg.domain_order == "shuffled":
+    if len(names) > 1:
         (rng or random.Random(0)).shuffle(names)
     return names
 
@@ -170,7 +175,7 @@ def state_to_summary(
         return ""
 
     groups = split_state_by_domain(state, ontology)
-    order = _domain_sequence(groups, cfg, rng)
+    order = _domain_sequence(groups, ontology, cfg, rng)
     if not cfg.naturalness:
         return _unnatural_summary(groups, order)
 
@@ -182,6 +187,13 @@ def state_to_summary(
     for sentence in sentences[1:]:
         summary += f" {plan.conjunction} {sentence}"
     return summary
+
+
+def _spans_domains(state: DialogueState, ontology: Ontology) -> bool:
+    """Whether ``state`` is a mapping whose known slots span two or more domains."""
+    if not isinstance(state, dict):
+        return False
+    return len({ontology.domain_of(slot) for slot in state if ontology.has_slot(slot)}) > 1
 
 
 def _turn_rng(seed: int, dialogue_id: str, turn_index: int) -> random.Random:
@@ -200,7 +212,8 @@ def synthesize_labels(
     labels = []
     for turn in dialogue.turns:
         rng = None
-        if cfg.domain_order == "shuffled":
+        # A single domain has no order to shuffle, and seeding a generator costs microseconds.
+        if cfg.domain_order == "shuffled" and _spans_domains(turn.state, ontology):
             rng = _turn_rng(seed, dialogue.dialogue_id, turn.index)
         labels.append((turn.index, state_to_summary(turn.state, ontology, cfg, rng)))
     return labels

@@ -1,8 +1,9 @@
 """Frozen reference strings for the template converters.
 
-Insertion order of each state dict matters: domain sentences follow the order
-in which domains first appear in the state, and the flat format follows entry
-order, so the dicts below are written in the order the summaries expect.
+Domain sentences follow the schema's domain order (attraction, hotel,
+restaurant, taxi, train) whatever the order of the state dict; within a domain
+the flat format follows entry order, so the dicts below are written in the
+order the flat summaries expect.
 """
 
 from statesum import TemplateConfig
@@ -103,11 +104,12 @@ MULTI_DOMAIN_STATE = {
     "hotel-name": "Intercontinental",
     "hotel-stars": "3",
 }
+# The state lists train first; the summary follows the schema's domain order.
 MULTI_DOMAIN_SUMMARY = (
-    "The user is looking for a train for 3 people from london station to "
-    "Incheon airport. Also, he is searching for a restaurant called meze bar "
-    "on tuesday at 12:00. Also, he looks for a place to stay which is a "
-    "guesthouse called Intercontinental ranked 3 stars."
+    "The user is looking for a place to stay which is a guesthouse called "
+    "Intercontinental ranked 3 stars. Also, he is searching for a restaurant "
+    "called meze bar on tuesday at 12:00. Also, he looks for a train for 3 "
+    "people from london station to Incheon airport."
 )
 
 VARIANT_SAMPLE_STATE = {

@@ -267,6 +267,23 @@ def test_eval_non_object_prediction_line_exits_2(monkeypatch, capsys, tmp_path, 
     assert "line 2: expected a JSON object" in err
 
 
+@pytest.mark.parametrize("summary", [None, ["a", "b"], 5])
+def test_eval_non_string_predicted_summary_exits_2(monkeypatch, capsys, tmp_path, summary):
+    predictions = tmp_path / "preds.jsonl"
+    predictions.write_text(
+        json.dumps({"dialogue_id": "SNG0001.json", "turn_index": 0, "predicted_summary": ""}) + "\n"
+        + json.dumps({"dialogue_id": "SNG0001.json", "turn_index": 1,
+                      "predicted_summary": summary}) + "\n"
+    )
+    code, _, err = _run(
+        ["eval", "--corpus", str(FIXTURE_CORPUS), "--predictions", str(predictions),
+         "--out", str(tmp_path / "r.json")],
+        monkeypatch, capsys,
+    )
+    assert code == 2
+    assert "line 2: predicted_summary is not a string" in err
+
+
 @pytest.mark.parametrize("turn_index", [None, "first"])
 def test_eval_non_integer_turn_index_exits_2(monkeypatch, capsys, tmp_path, turn_index):
     predictions = tmp_path / "preds.jsonl"

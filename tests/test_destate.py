@@ -239,7 +239,7 @@ def test_reserved_collisions_do_not_depend_on_hash_seed():
         "no domain phrase matched: 'ward'",
         "no domain phrase matched: 'ward. Also,'",
         "no domain phrase matched: 'ward'",
-        "no domain phrase matched: 'ward.'",
+        "no domain phrase matched: 'ward. Also,'",
         "attraction: empty value after ' called '",
         "hotel: empty value after ' called '",
     ]) + "\n"

@@ -1,4 +1,5 @@
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,7 @@ from statesum import (
 )
 from statesum import metrics
 from statesum.corpus import Corpus, Dialogue, Turn
-from statesum.metrics import _clipped_overlaps, _rouge_f1s
+from statesum.metrics import _clipped_overlaps, _ngram_counts, _rouge_f1
 
 import golden_data as gd
 from conftest import FIXTURE_COLLIDING_TURNS
@@ -215,10 +216,10 @@ def test_bleu_matches_independent_implementation(ont):
 
 
 @st.composite
-def _overlap_cases(draw):
+def _overlap_cases(draw, tokens=("x", "y", "z")):
     # Small alphabets make repeats common; a reference a few edits away from
     # the candidate makes long common prefixes and suffixes common.
-    alphabet = "xyz"[: draw(st.integers(1, 3))]
+    alphabet = tokens[: draw(st.integers(1, len(tokens)))]
     cand = draw(st.lists(st.sampled_from(alphabet), max_size=10))
     ref = list(cand)
     for _ in range(draw(st.integers(0, 3))):
@@ -235,7 +236,7 @@ def _overlap_cases(draw):
 @given(case=_overlap_cases())
 def test_clipped_overlap_matches_independent_implementation(case):
     cand, ref, n = case
-    assert _clipped_overlaps(cand, ref, (n,)) == [reference_clipped_overlap(cand, ref, n)]
+    assert _clipped_overlaps(cand, ref, (n,))[0] == [reference_clipped_overlap(cand, ref, n)]
 
 
 @settings(max_examples=500, deadline=None)
@@ -243,9 +244,28 @@ def test_clipped_overlap_matches_independent_implementation(case):
 def test_clipped_overlaps_matches_independent_implementation_for_every_order(case, orders):
     cand, ref, _ = case
     orders = tuple(orders)
-    assert _clipped_overlaps(cand, ref, orders) == [
+    assert _clipped_overlaps(cand, ref, orders)[0] == [
         reference_clipped_overlap(cand, ref, n) for n in orders
     ]
+
+
+# Tokens that lowering merges ("A"/"a", "SS"/"ss", "İ"/"i̇") or that are not ASCII.
+_CASED_TOKENS = ("a", "A", "b", "SS", "ss", "ß", "İ", "i̇")
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    case=_overlap_cases(_CASED_TOKENS),
+    orders=st.lists(st.integers(1, 6), min_size=1, max_size=5, unique=True),
+)
+def test_lowercased_counts_match_independent_implementation(case, orders):
+    cand, ref, _ = case
+    candidate, reference, orders = " ".join(cand), " ".join(ref), tuple(sorted(orders))
+    cand_low, ref_low = candidate.lower().split(), reference.lower().split()
+    assert _ngram_counts(candidate, reference, orders, True) == (
+        (len(cand), len(ref), [reference_clipped_overlap(cand, ref, n) for n in orders]),
+        (len(cand_low), len(ref_low), [reference_clipped_overlap(cand_low, ref_low, n) for n in orders]),
+    )
 
 
 @pytest.mark.parametrize(
@@ -270,7 +290,7 @@ def test_clipped_overlaps_matches_independent_implementation_for_every_order(cas
 )
 def test_clipped_overlap_edge_cases(cand, ref, n, expected):
     cand, ref = cand.split(), ref.split()
-    assert _clipped_overlaps(cand, ref, (n,)) == [expected]
+    assert _clipped_overlaps(cand, ref, (n,))[0] == [expected]
     assert reference_clipped_overlap(cand, ref, n) == expected
 
 
@@ -309,9 +329,13 @@ def test_rouge_matches_independent_implementation(ont, n):
 
 
 def test_rouge_orders_together_match_independent_implementation(ont):
-    pairs = [*bleu_probe_pairs(ont), *((c, r) for c, r, _, _ in ROUGE_HAND_CASES)]
+    probes = bleu_probe_pairs(ont)
+    pairs = probes + [(c.upper(), r) for c, r in probes] + [(r.lower(), r) for _, r in probes]
+    pairs += [(c, r) for c, r, _, _ in ROUGE_HAND_CASES]
     for candidate, reference in pairs:
-        assert _rouge_f1s(candidate, reference, (1, 2, 4)) == [
+        # The path evaluate_run takes: one count for orders 1-4 serves all three.
+        cand_len, ref_len, overlaps = _ngram_counts(candidate, reference, (1, 2, 3, 4), True)[1]
+        assert [_rouge_f1(cand_len, ref_len, n, overlaps[n - 1]) for n in (1, 2, 4)] == [
             pytest.approx(reference_rouge_n_f1(candidate, reference, n), abs=1e-12)
             for n in (1, 2, 4)
         ]
@@ -553,7 +577,8 @@ def test_evaluate_run_renders_gold_once_per_unchanged_state(ont, tmp_path, monke
     hotel = {"hotel-area": "north"}
     both = {"hotel-area": "north", "train-day": "monday"}
     reordered = {"train-day": "monday", "hotel-area": "north"}
-    # Records in sorted order; an equal state in a new slot order renders differently.
+    # Records in sorted order; an equal state in a new slot order is rendered
+    # again, since the flat format follows the slot order.
     gold = {
         ("A.json", 0): {},
         ("A.json", 1): dict(hotel),
@@ -591,6 +616,61 @@ def test_evaluate_run_renders_gold_once_per_unchanged_state(ont, tmp_path, monke
     assert report.rouge_n_f1 == {1: 1.0, 2: 1.0, 4: 1.0}
 
 
+# Mixed-case and non-ASCII tokens: some merge under lowering with a token of
+# the gold render ("The"/"the", "Also,"/"also,", "SS"/"ss"), some are not ASCII.
+_EDIT_TOKENS = ("The", "the", "Also,", "also,", "ΣΑΣ", "σας", "İ", "i̇", "ß", "SS", "ss", "x")
+_EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(("insert", "replace", "swapcase", "delete")),
+        st.integers(0, 100),
+        st.sampled_from(_EDIT_TOKENS),
+    ),
+    max_size=4,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(turns=st.lists(st.tuples(st.integers(0, 10**6), st.booleans(), _EDITS), min_size=1, max_size=6))
+def test_evaluate_run_text_scores_equal_public_functions_and_oracles(ont, turns):
+    states = [random_state(ont, seed=seed, max_domains=3) for seed, _, _ in turns]
+    references = [state_to_summary(state, ont) for state in states]
+    candidates = []
+    for reference, (_, lowered, edits) in zip(references, turns):
+        tokens = (reference.lower() if lowered else reference).split()
+        for kind, at, token in edits:
+            i = at % (len(tokens) + (kind == "insert"))
+            if kind == "insert":
+                tokens.insert(i, token)
+            elif kind == "replace":
+                tokens[i] = token
+            elif kind == "swapcase":
+                tokens[i] = tokens[i].swapcase()
+            elif len(tokens) > 1:
+                del tokens[i]
+        candidates.append(" ".join(tokens))
+    dialogue = Dialogue(
+        dialogue_id="H.json",
+        turns=[Turn(i, "", "", state, "") for i, state in enumerate(states)],
+        domains=frozenset(ont.domains),
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        preds = Path(tmp) / "preds.jsonl"
+        _write_predictions(preds, [
+            {"dialogue_id": "H.json", "turn_index": i, "predicted_summary": candidate}
+            for i, candidate in enumerate(candidates)
+        ])
+        report = evaluate_run(preds, Corpus(version="2.1", splits={"test": [dialogue]}), ont)
+    assert report.bleu4 == bleu4(candidates, references)
+    assert report.bleu4 == pytest.approx(reference_bleu4(candidates, references), abs=1e-6)
+    for n in (1, 2, 4):
+        total = expected = 0.0
+        for candidate, reference in zip(candidates, references):
+            total += rouge_n_f1(candidate, reference, n)
+            expected += reference_rouge_n_f1(candidate, reference, n)
+        assert report.rouge_n_f1[n] == total / len(turns)
+        assert report.rouge_n_f1[n] == pytest.approx(expected / len(turns), abs=1e-12)
+
+
 GOLDEN_EVAL = Path(__file__).parent / "data" / "golden_eval"
 
 
@@ -603,3 +683,34 @@ def test_evaluate_run_reproduces_golden_report(mini_corpus, ont, tmp_path):
     evaluate_run(GOLDEN_EVAL / "predictions.jsonl", mini_corpus, ont, out=out, diagnostics_out=diag)
     assert out.read_bytes() == (GOLDEN_EVAL / "report.json").read_bytes()
     assert diag.read_bytes() == (GOLDEN_EVAL / "diagnostics.jsonl").read_bytes()
+
+
+def test_golden_report_recounts_only_the_pair_lowering_merges(mini_corpus, ont, monkeypatch):
+    # ROUGE reuses BLEU's cased count unless lowering merges two tokens of the
+    # differing windows; each recount is a second _clipped_overlaps call.
+    count_pair, count_overlaps = metrics._ngram_counts, metrics._clipped_overlaps
+    calls = []
+    pairs = []
+
+    def counting_overlaps(*args):
+        calls.append(args)
+        return count_overlaps(*args)
+
+    def counting_pair(candidate, reference, *args):
+        before = len(calls)
+        result = count_pair(candidate, reference, *args)
+        pairs.append((candidate, reference, len(calls) - before))
+        return result
+
+    monkeypatch.setattr(metrics, "_clipped_overlaps", counting_overlaps)
+    monkeypatch.setattr(metrics, "_ngram_counts", counting_pair)
+    evaluate_run(GOLDEN_EVAL / "predictions.jsonl", mini_corpus, ont)
+    assert len(pairs) == 18
+    recounted = [(c, r) for c, r, n in pairs if n == 2]
+    # Only the lowercased prediction: "the" and the gold "The" share its window.
+    assert [c for c, _ in recounted] == [
+        "the user is looking for a train for 3 people from norwich to cambridge on monday, "
+        "which leaves at 11:21 and arrives by 19:45."
+    ]
+    assert recounted[0][1] == "T" + recounted[0][0][1:]
+    assert all(n == 1 for c, r, n in pairs if c == r)

@@ -11,6 +11,7 @@ from statesum import (
     state_to_summary,
     summary_to_state,
 )
+from statesum import summarize
 from statesum.corpus import Dialogue, Turn
 from statesum.summarize import synthesize_labels
 
@@ -44,6 +45,15 @@ def test_variant_goldens(ont, cfg, expected):
 def test_unnatural_golden(ont):
     cfg = TemplateConfig(naturalness=False)
     assert state_to_summary(gd.VARIANT_SAMPLE_STATE, ont, cfg) == gd.UNNATURAL_SUMMARY
+
+
+def test_canonical_order_follows_the_schema_not_the_state(ont):
+    state = {"train-day": "monday", "hotel-area": "north"}
+    reordered = {"hotel-area": "north", "train-day": "monday"}
+    for cfg in (TemplateConfig(), TemplateConfig(naturalness=False)):
+        summary = state_to_summary(state, ont, cfg)
+        assert summary == state_to_summary(reordered, ont, cfg)
+        assert summary.index("north") < summary.index("monday")
 
 
 def test_empty_state(ont):
@@ -190,3 +200,29 @@ def test_synthesize_labels_deterministic_under_shuffle(ont):
     assert first == again
     other_seed = synthesize_labels(dialogue, ont, cfg, seed=8)
     assert first != other_seed
+
+
+def test_synthesize_labels_seeds_only_states_with_several_domains(ont, monkeypatch):
+    states = [
+        {}, gd.ATTRACTION_STATE, gd.DONTCARE_STATE, gd.MULTI_DOMAIN_STATE, gd.VARIANT_SAMPLE_STATE,
+    ]
+    dialogue = _dialogue(states)
+    cfg = TemplateConfig(domain_order="shuffled")
+    # The labels a generator seeded for every turn gives.
+    expected = [
+        (i, state_to_summary(state, ont, cfg, summarize._turn_rng(7, dialogue.dialogue_id, i)))
+        for i, state in enumerate(states)
+    ]
+    seeded = []
+    turn_rng = summarize._turn_rng
+
+    def counting_rng(seed, dialogue_id, turn_index):
+        seeded.append(turn_index)
+        return turn_rng(seed, dialogue_id, turn_index)
+
+    monkeypatch.setattr(summarize, "_turn_rng", counting_rng)
+    assert synthesize_labels(dialogue, ont, cfg, seed=7) == expected
+    assert seeded == [3, 4]
+    for invalid in ({"hotel-area": None}, {"hotel-area": "north", "train-day": "someday,"}, {"x-y": "z"}):
+        with pytest.raises(StateValidationError):
+            synthesize_labels(_dialogue([invalid]), ont, cfg)
