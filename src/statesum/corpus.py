@@ -161,7 +161,10 @@ def _state_from_metadata(metadata: dict) -> DialogueState:
         annotation = metadata.get(domain)
         if not isinstance(annotation, dict):
             continue
-        for raw_key, raw_value in (annotation.get("semi") or {}).items():
+        semi = annotation.get("semi") or {}
+        if not isinstance(semi, dict):
+            raise CorpusError(f"{domain} semi block is not an object")
+        for raw_key, raw_value in semi.items():
             # Most raw values are exact blanks, which normalize to None.
             if isinstance(raw_value, str) and raw_value in _NONE_VALUES:
                 continue
@@ -171,7 +174,10 @@ def _state_from_metadata(metadata: dict) -> DialogueState:
             value = normalize_raw_value(raw_value, slot_name)
             if value is not None:
                 state[slot_name] = value
-        for raw_key, raw_value in (annotation.get("book") or {}).items():
+        book = annotation.get("book") or {}
+        if not isinstance(book, dict):
+            raise CorpusError(f"{domain} book block is not an object")
+        for raw_key, raw_value in book.items():
             if raw_key == "booked":
                 continue
             if isinstance(raw_value, str) and raw_value in _NONE_VALUES:
@@ -233,21 +239,19 @@ def _read_archive(path: Path) -> tuple[dict, list[str], list[str]]:
     def parse_list(text: str) -> list[str]:
         return [line.strip() for line in text.splitlines() if line.strip()]
 
+    def read_all(names, read) -> tuple[dict, list[str], list[str]]:
+        """``read`` maps a located name to its bytes, for either layout."""
+        required = _locate(names)
+        data, dev, test = (read(required[key]).decode("utf-8") for key in ("data", "val", "test"))
+        return json.loads(data), parse_list(dev), parse_list(test)
+
     if path.is_dir():
-        candidates = {p.name: p for p in sorted(path.rglob("*")) if p.is_file()}
-        required = _locate(candidates.keys())
-        data = json.loads(candidates[required["data"]].read_text("utf-8"))
-        dev = parse_list(candidates[required["val"]].read_text("utf-8"))
-        test = parse_list(candidates[required["test"]].read_text("utf-8"))
-        return data, dev, test
+        files = {p.name: p for p in sorted(path.rglob("*")) if p.is_file()}
+        return read_all(files, lambda name: files[name].read_bytes())
     if zipfile.is_zipfile(path):
         with zipfile.ZipFile(path) as archive:
             members = {os.path.basename(n): n for n in archive.namelist() if os.path.basename(n)}
-            required = _locate(members.keys())
-            data = json.loads(archive.read(members[required["data"]]).decode("utf-8"))
-            dev = parse_list(archive.read(members[required["val"]]).decode("utf-8"))
-            test = parse_list(archive.read(members[required["test"]]).decode("utf-8"))
-            return data, dev, test
+            return read_all(members, lambda name: archive.read(members[name]))
     raise CorpusError(f"{path}: not a corpus directory or zip archive")
 
 

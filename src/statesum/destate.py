@@ -15,7 +15,7 @@ import weakref
 from dataclasses import dataclass, field
 
 from .ontology import DONTCARE, DialogueState, DomainSpec, Ontology, SlotSpec, TemplateConfig
-from .summarize import DEFAULT_PLAN, UNNATURAL_PREFIX, ParaphrasePlan
+from .summarize import CONJUNCTION, DONTCARE_MARKER, PLAIN_SUBJECT, SUBJECTS, UNNATURAL_PREFIX
 
 
 @dataclass
@@ -30,9 +30,8 @@ def _clean_value(text: str) -> str:
     return " ".join(text.replace(",", "").replace(".", "").split())
 
 
-def _boundary_phrases(plan: ParaphrasePlan) -> tuple[str, ...]:
-    phrases = set(plan.subject_variants)
-    phrases.add(plan.plain_subject)
+def _boundary_phrases() -> tuple[str, ...]:
+    phrases = {*SUBJECTS, PLAIN_SUBJECT}
     # Model output may capitalize a continuation subject.
     phrases.update(p[0].upper() + p[1:] for p in tuple(phrases))
     # Longest first for the regex; ties by text, so the order is fixed.
@@ -71,12 +70,12 @@ class StateExtractor:
     Every rule is read off the slot templates when the extractor is built: a
     slot's value follows the template text before ``{v}``, and it ends at the
     first phrase that any template puts before or after a value, or at one of
-    the renderer's joiners (``", which "``, ``" and "``, the conjunction).
+    the renderer's joiners (``", which "``, ``" and "``, the conjunction). The
+    sentence frame comes from ``summarize``'s constants, which the renderer writes.
     """
 
-    def __init__(self, ontology: Ontology, plan: ParaphrasePlan = DEFAULT_PLAN):
+    def __init__(self, ontology: Ontology):
         self.ontology = ontology
-        self.plan = plan
         self.parses = 0
         self.pattern_applications = 0
 
@@ -84,7 +83,7 @@ class StateExtractor:
             name: tuple(_slot_rule(spec) for spec in domain.slots)
             for name, domain in ontology.domains.items()
         }
-        terminators = [" which ", " and ", f" {plan.conjunction} "]
+        terminators = [" which ", " and ", f" {CONJUNCTION} "]
         for domain in ontology.domains.values():
             for spec, rule in zip(domain.slots, self._rules[domain.domain_name]):
                 if rule.boolean:
@@ -94,7 +93,7 @@ class StateExtractor:
                 terminators += [after.replace("{unit}", u) for u in (spec.unit_singular, spec.unit_plural)]
         terminators = [t for t in dict.fromkeys(terminators) if t]
         self._splitter = re.compile(
-            "|".join(re.escape(p) for p in _boundary_phrases(plan))
+            "|".join(re.escape(p) for p in _boundary_phrases())
         )
         self._terminators = re.compile("|".join(re.escape(t) for t in terminators))
         self._nouns = {
@@ -183,11 +182,10 @@ class StateExtractor:
                 continue
             state[rule.slot_name] = value
 
-        marker = self.plan.dontcare_marker
-        idx = fragment.find(marker)
+        idx = fragment.find(DONTCARE_MARKER)
         if idx >= 0:
             self.pattern_applications += 1
-            tail = fragment[idx + len(marker):].split(".", 1)[0]
+            tail = fragment[idx + len(DONTCARE_MARKER):].split(".", 1)[0]
             for noun in tail.split(" and "):
                 noun = _clean_value(noun)
                 if not noun:

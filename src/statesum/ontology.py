@@ -100,11 +100,6 @@ class DomainSpec:
     domain_phrase: str
     slots: tuple[SlotSpec, ...]
 
-    @property
-    def sentence_prefix(self) -> str:
-        """Full first-sentence prefix, e.g. "The user is looking for a taxi"."""
-        return f"The user is looking for {self.noun_phrase}"
-
 
 @dataclass(eq=False)
 class Ontology:
@@ -119,10 +114,6 @@ class Ontology:
             for domain in self.domains.values()
             for spec in domain.slots
         }
-
-    @property
-    def slot_count(self) -> int:
-        return len(self._slots)
 
     def slot(self, slot_name: str) -> SlotSpec:
         return self._slots[slot_name]
@@ -329,17 +320,15 @@ def random_state(
     ontology: Ontology,
     seed: int,
     max_domains: int = 5,
-    value_pool: dict[str, list[str]] | None = None,
-    dontcare_prob: float = 0.1,
 ) -> DialogueState:
     """Deterministically generate a valid state for fuzzing round trips.
 
-    Each selected slot gets DONTCARE with probability ``dontcare_prob``,
-    otherwise a value drawn from ``value_pool`` (default: the schema pools).
+    Each selected slot gets DONTCARE with probability 0.1, otherwise a value
+    drawn from the schema's value pools.
     """
     if not 1 <= max_domains <= len(ontology.domains):
         raise GenerationError(f"max_domains must be in 1..{len(ontology.domains)}")
-    pools = value_pool if value_pool is not None else ontology.value_pools
+    pools = ontology.value_pools
     rng = random.Random(seed)
 
     names = list(ontology.domains)
@@ -351,7 +340,7 @@ def random_state(
         if not picked:
             picked = [domain.slots[rng.randrange(len(domain.slots))]]
         for spec in sorted(picked, key=lambda s: s.canonical_position):
-            if rng.random() < dontcare_prob:
+            if rng.random() < 0.1:
                 state[spec.slot_name] = DONTCARE
                 continue
             if spec.is_boolean and spec.slot_name not in pools:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import random
 import zlib
-from dataclasses import dataclass
 
 from .errors import StateValidationError
 from .ontology import (
@@ -24,39 +23,22 @@ from .ontology import (
 )
 
 
-@dataclass(frozen=True)
-class ParaphrasePlan:
-    """Subject phrases used to open sentences and join domains.
-
-    The first sentence always opens with ``subject_variants[0]``; with
-    paraphrasing on, later sentences alternate between the other two.
-    """
-
-    subject_variants: tuple[str, ...] = (
-        "The user is looking for",
-        "he is searching for",
-        "he looks for",
-    )
-    plain_subject: str = "the user is looking for"
-    conjunction: str = "Also,"
-    dontcare_marker: str = "does not care about"
-    pronoun: str = "he"
-    plain_pronoun: str = "the user"
-
-    def subject(self, position: int, paraphrasing: bool) -> str:
-        if position == 0:
-            return self.subject_variants[0]
-        if not paraphrasing:
-            return self.plain_subject
-        return self.subject_variants[1 + (position - 1) % 2]
-
-    def dontcare_pronoun(self, paraphrasing: bool) -> str:
-        return self.pronoun if paraphrasing else self.plain_pronoun
-
-
-DEFAULT_PLAN = ParaphrasePlan()
-
+# The sentence frame; the parser builds its patterns from these same strings.
+# The first sentence opens with SUBJECTS[0]; later ones alternate between the
+# other two with paraphrasing on, and repeat PLAIN_SUBJECT with it off.
+SUBJECTS = ("The user is looking for", "he is searching for", "he looks for")
+PLAIN_SUBJECT = "the user is looking for"
+CONJUNCTION = "Also,"
+DONTCARE_MARKER = "does not care about"
 UNNATURAL_PREFIX = "The user wants "
+
+
+def _subject(position: int, paraphrasing: bool) -> str:
+    if position == 0:
+        return SUBJECTS[0]
+    if not paraphrasing:
+        return PLAIN_SUBJECT
+    return SUBJECTS[1 + (position - 1) % 2]
 
 
 def render_slot_phrase(spec: SlotSpec, value: str) -> str:
@@ -86,7 +68,6 @@ def render_domain_sentence(
     partial: DialogueState,
     cfg: TemplateConfig = TemplateConfig(),
     position: int = 0,
-    plan: ParaphrasePlan = DEFAULT_PLAN,
 ) -> str:
     """Render one domain's slice of the state into a full sentence."""
     if not partial:
@@ -119,12 +100,12 @@ def render_domain_sentence(
     if clauses:
         body += ", which " + " and ".join(clauses)
 
-    subject = plan.subject(position, cfg.paraphrasing)
+    subject = _subject(position, cfg.paraphrasing)
     if not dontcare_nouns:
         return f"{subject} {body}."
 
-    pronoun = plan.dontcare_pronoun(cfg.paraphrasing)
-    tail = f"{plan.dontcare_marker} " + " and ".join(dontcare_nouns)
+    pronoun = "he" if cfg.paraphrasing else "the user"
+    tail = f"{DONTCARE_MARKER} " + " and ".join(dontcare_nouns)
     if cfg.dontcare_concat:
         return f"{subject} {body}, and {pronoun} {tail}."
     first = pronoun[0].upper() + pronoun[1:]
@@ -165,7 +146,6 @@ def state_to_summary(
     ontology: Ontology,
     cfg: TemplateConfig = TemplateConfig(),
     rng: random.Random | None = None,
-    plan: ParaphrasePlan = DEFAULT_PLAN,
 ) -> str:
     """Render a full state into a summary; the empty state renders as ""."""
     violations = validate_state(ontology, state)
@@ -180,12 +160,12 @@ def state_to_summary(
         return _unnatural_summary(groups, order)
 
     sentences = [
-        render_domain_sentence(ontology.domains[name], groups[name], cfg, position, plan)
+        render_domain_sentence(ontology.domains[name], groups[name], cfg, position)
         for position, name in enumerate(order)
     ]
     summary = sentences[0]
     for sentence in sentences[1:]:
-        summary += f" {plan.conjunction} {sentence}"
+        summary += f" {CONJUNCTION} {sentence}"
     return summary
 
 

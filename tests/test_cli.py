@@ -1,7 +1,9 @@
 import io
 import json
+from importlib import resources
 
 import pytest
+import yaml
 
 from statesum import cli
 from statesum.cli import run
@@ -148,6 +150,21 @@ def test_fuzz_ok(monkeypatch, capsys):
     assert "50/50 round-trips ok" in out
 
 
+def test_fuzz_failure_names_slot_and_terminator(monkeypatch, capsys, tmp_path):
+    doc = yaml.safe_load(resources.files("statesum.data").joinpath("multiwoz_en.yaml").read_text())
+    doc["value_pools"]["restaurant-name"] = ["milk and honey"]
+    schema = tmp_path / "schema.yaml"
+    schema.write_text(yaml.safe_dump(doc, sort_keys=False))
+    code, out, err = _run(
+        ["--ontology", str(schema), "fuzz", "--trials", "50", "--seed", "0"], monkeypatch, capsys
+    )
+    assert code == 3
+    assert "round-trips ok" in out
+    failure = err.splitlines()[0]
+    assert failure.startswith("round-trip failure at seed ")
+    assert "restaurant-name: 'milk and honey' reads back as 'milk' (cut at 'and')" in failure
+
+
 def test_console_script_entry_point():
     import subprocess
     import sys
@@ -174,6 +191,14 @@ def test_parse_without_summary_exits_2(monkeypatch, capsys):
     code, _, err = _run(["parse"], monkeypatch, capsys, stdin=json.dumps({"text": "x"}))
     assert code == 2
     assert "'summary'" in err and "field" in err
+
+
+@pytest.mark.parametrize("payload", [{"summary": 5}, {"summary": None}, 5, None])
+def test_parse_non_string_summary_exits_2(monkeypatch, capsys, payload):
+    code, out, err = _run(["parse"], monkeypatch, capsys, stdin=json.dumps(payload))
+    assert code == 2
+    assert out == ""
+    assert "parse input must be a JSON string or an object with a string 'summary'" in err
 
 
 def test_schema_with_non_integer_position_exits_2(monkeypatch, capsys, tmp_path):

@@ -222,6 +222,12 @@ def test_non_object_entries_skipped(tmp_path):
         "BAD0002.json": with_log_entry(0, 5),
         "BAD0003.json": with_log_entry(1, "text"),
         "BAD0004.json": with_log_entry(1, {**good["log"][1], "metadata": [1]}),
+        "BAD0005.json": with_log_entry(
+            1, {**good["log"][1], "metadata": {"hotel": {"semi": ["area"]}}}
+        ),
+        "BAD0006.json": with_log_entry(
+            1, {**good["log"][1], "metadata": {"taxi": {"book": ["booked"]}}}
+        ),
         "OK0001.json": good,
     }
     (tmp_path / "data.json").write_text(json.dumps(data))
@@ -234,6 +240,8 @@ def test_non_object_entries_skipped(tmp_path):
         "BAD0002.json: skipped (turn 0: log entry is not an object)",
         "BAD0003.json: skipped (turn 0: log entry is not an object)",
         "BAD0004.json: skipped (turn 0: metadata is not an object)",
+        "BAD0005.json: skipped (hotel semi block is not an object)",
+        "BAD0006.json: skipped (taxi book block is not an object)",
     ]
 
 

@@ -15,7 +15,7 @@ from statesum import (
     summary_to_state,
 )
 from statesum.destate import StateExtractor
-from statesum.summarize import DEFAULT_PLAN
+from statesum.summarize import CONJUNCTION, DONTCARE_MARKER, SUBJECTS
 
 import golden_data as gd
 from conftest import collisions_of
@@ -176,7 +176,7 @@ def test_parse_counters(ont):
     assert extractor.parses == 1
     # One probe per slot, two per boolean slot, one dontcare scan per matched
     # domain: bounded by the slot count plus a small constant.
-    assert extractor.pattern_applications <= ont.slot_count + 7
+    assert extractor.pattern_applications <= len(ont.all_slots()) + 7
     extractor.parse(gd.ATTRACTION_SUMMARY)
     assert extractor.parses == 2
 
@@ -247,8 +247,7 @@ def test_reserved_collisions_do_not_depend_on_hash_seed():
 
 def _template_words(ont):
     """Every word the renderer writes around a value, without punctuation."""
-    plan = DEFAULT_PLAN
-    phrases = [*plan.subject_variants, plan.conjunction, plan.dontcare_marker, "which", "and"]
+    phrases = [*SUBJECTS, CONJUNCTION, DONTCARE_MARKER, "which", "and"]
     for spec in ont.all_slots():
         phrases += [spec.phrase_template, spec.unit_singular, spec.unit_plural,
                     spec.phrase_yes, spec.phrase_no]

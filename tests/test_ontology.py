@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from statesum import (
     DONTCARE,
     GenerationError,
+    Ontology,
     SchemaError,
     TemplateConfig,
     load_ontology,
@@ -32,10 +33,10 @@ domains:
 
 
 def test_default_schema_shape(ont):
-    assert ont.slot_count == 30
+    assert len(ont.all_slots()) == 30
     assert set(ont.domains) == {"attraction", "hotel", "restaurant", "taxi", "train"}
     assert len(ont.domains["hotel"].slots) == 10
-    assert ont.domains["attraction"].sentence_prefix == "The user is looking for an attraction"
+    assert ont.domains["attraction"].noun_phrase == "an attraction"
 
 
 def test_slot_lookup(ont):
@@ -51,7 +52,7 @@ def test_load_custom_schema(tmp_path):
     path = tmp_path / "schema.yaml"
     path.write_text(MINIMAL_SCHEMA)
     ont = load_ontology(path)
-    assert ont.slot_count == 1
+    assert len(ont.all_slots()) == 1
 
 
 # New phrasings and no extraction rules: the parser reads everything off the templates.
@@ -201,9 +202,10 @@ def test_random_state_seeds_differ(ont):
 def test_random_state_empty_pool(ont):
     pools = {name: ["x"] for name in (s.slot_name for s in ont.all_slots())}
     pools["taxi-departure"] = []
+    empty = Ontology(domains=ont.domains, value_pools=pools)
     with pytest.raises(GenerationError):
         for seed in range(200):
-            random_state(ont, seed=seed, value_pool=pools, dontcare_prob=0.0)
+            random_state(empty, seed=seed)
 
 
 def test_random_state_bad_max_domains(ont):

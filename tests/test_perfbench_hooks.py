@@ -1,15 +1,47 @@
-"""The benchmark's tracer patches library functions by name; keep those names alive."""
+"""The benchmark imports library names and patches functions by name; keep those names alive."""
 
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-JOB = Path(__file__).resolve().parents[1] / "perfbench" / "job.py"
+from statesum import default_ontology, evaluate_run, load_multiwoz
+
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
-def test_trace_points_exist():
-    spec = importlib.util.spec_from_file_location("perfbench_job", JOB)
-    job = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(job)
+def _load(name, monkeypatch):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # Dataclasses resolve their annotations through sys.modules.
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_trace_points_exist(monkeypatch):
+    job = _load("job", monkeypatch)
     assert job.TRACE_POINTS
     for owner, attr, name in job.TRACE_POINTS:
         assert attr in owner.__dict__, (owner, attr, name)
+
+
+def test_generated_workload_passes_the_benchmark_check(tmp_path, monkeypatch):
+    # eval-noisy's generator reads SlotSpec.bare_name and Ontology.domain_of.
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "gen.py"), "--workload", "eval-noisy", "--seed", "1",
+         "--out", str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
+    assert proc.returncode == 0, proc.stderr
+    check = _load("check", monkeypatch)
+    ont = default_ontology()
+    evaluate_run(tmp_path / "predictions.jsonl", load_multiwoz(tmp_path / "corpus"), ont,
+                 out=tmp_path / "report.json")
+    expected = json.loads((tmp_path / "expected.json").read_text("utf-8"))
+    verdict = check.check_eval(ROOT, tmp_path, expected, ont)
+    assert verdict.correct and verdict.attempted == 5000, verdict.problems[:5]
