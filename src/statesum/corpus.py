@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .destate import reserved_collisions
-from .errors import CorpusError, ProtocolError
+from .errors import CorpusError, ProtocolError, StateValidationError
 from .ontology import DONTCARE, DialogueState, Ontology, TemplateConfig
 from .summarize import synthesize_labels
 
@@ -433,7 +433,8 @@ def export_training_file(
 
     A turn is written only if its label parses back to its state under ``cfg``
     (see ``reserved_collisions``); other turns are skipped and reported rather
-    than written corrupted.
+    than written corrupted. A dialogue with a state the schema rejects is
+    skipped whole, with one diagnostic naming the violations.
     Returns the number of records written; on failure no partial file is left.
     """
     diags = diagnostics if diagnostics is not None else []
@@ -448,7 +449,11 @@ def export_training_file(
     with _open_atomic(out) as handle:
         for dialogue_id in sorted(roles):
             dialogue = by_id[dialogue_id]
-            labels = synthesize_labels(dialogue, ontology, cfg, split.seed)
+            try:
+                labels = synthesize_labels(dialogue, ontology, cfg, split.seed)
+            except StateValidationError as exc:
+                diags.append(f"{dialogue_id}: skipped, {exc}")
+                continue
             previous = None
             for turn, (_, label) in zip(dialogue.turns, labels):
                 # A state often stays put for several turns; its verdict then holds too.
@@ -469,7 +474,7 @@ def export_training_file(
                 handle.write(json.dumps(record, ensure_ascii=False) + "\n")
                 written += 1
     if diags:
-        log.info("export skipped %d turns that do not round-trip", len(diags))
+        log.info("export logged %d skips", len(diags))
     return written
 
 
@@ -483,8 +488,9 @@ def load_predictions(
     """Read {dialogue_id, turn_index, predicted_summary} JSONL records.
 
     Duplicate (dialogue_id, turn_index) keys keep the last record and emit a
-    diagnostic; a missing field, or a ``predicted_summary`` that is not a
-    string, raises with its line number.
+    diagnostic; a missing field, a ``turn_index`` that is neither an integer
+    nor a string of digits, or a ``predicted_summary`` that is not a string,
+    raises with its line number.
     """
     diags = diagnostics if diagnostics is not None else []
     records: dict[tuple[str, int], PredictionRecord] = {}
@@ -501,10 +507,11 @@ def load_predictions(
             for key in ("dialogue_id", "turn_index", "predicted_summary"):
                 if key not in payload:
                     raise CorpusError(f"line {line_no}: missing {key!r}")
-            try:
-                turn_index = int(payload["turn_index"])
-            except (TypeError, ValueError):
-                raise CorpusError(f"line {line_no}: turn_index is not an integer") from None
+            turn_index = payload["turn_index"]
+            if isinstance(turn_index, str) and turn_index.isascii() and turn_index.isdigit():
+                turn_index = int(turn_index)
+            if type(turn_index) is not int:  # a bool is an int, but not a turn index
+                raise CorpusError(f"line {line_no}: turn_index is not an integer")
             if not isinstance(payload["predicted_summary"], str):
                 raise CorpusError(f"line {line_no}: predicted_summary is not a string")
             record = PredictionRecord(

@@ -14,7 +14,9 @@ import re
 import weakref
 from dataclasses import dataclass, field
 
-from .ontology import DONTCARE, DialogueState, DomainSpec, Ontology, SlotSpec, TemplateConfig
+from .ontology import (
+    DONTCARE, DialogueState, DomainSpec, Ontology, SlotSpec, TemplateConfig, differing_slots
+)
 from .summarize import CONJUNCTION, DONTCARE_MARKER, PLAIN_SUBJECT, SUBJECTS, UNNATURAL_PREFIX
 
 
@@ -286,10 +288,8 @@ def reserved_collisions(
     if result.state == state and not result.diagnostics:
         return []
     issues = []
-    for slot_name in dict.fromkeys([*state, *result.state]):
+    for slot_name in differing_slots(state, result.state):
         expected, got = state.get(slot_name), result.state.get(slot_name)
-        if expected == got:
-            continue
         issue = f"{slot_name}: {expected!r} reads back as {got!r}"
         cut = expected and extractor._terminators.search(f" {expected} ")
         if cut:

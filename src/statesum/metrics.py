@@ -17,7 +17,7 @@ from pathlib import Path
 from .corpus import Corpus, PredictionRecord, load_predictions, write_atomic
 from .destate import StateExtractor
 from .errors import EvaluationError
-from .ontology import DialogueState, Ontology, TemplateConfig
+from .ontology import DialogueState, Ontology, TemplateConfig, differing_slots
 from .summarize import state_to_summary
 
 ERROR_KINDS = ("hallucination", "missing_slot", "wrong_slot")
@@ -81,29 +81,56 @@ class Report:
 # -- state-level metrics -------------------------------------------------------
 
 
+def _state_scores(
+    pairs: list[tuple[DialogueState, DialogueState]],
+    domains: Iterable[str] = (),
+    ontology: Ontology | None = None,
+) -> tuple[float, dict[str, float], tuple[float, float]]:
+    """All-domain JGA, JGA for each of ``domains`` and (active, absent) slot
+    accuracy over the slots of ``ontology`` (none without one), all read off
+    one ``differing_slots`` per pair. A pair is wrong for a domain when a
+    differing slot is named ``domain + "-..."``, in the schema or not; a
+    schema slot is active in a pair when the gold state has it, else absent,
+    and missed when it differs.
+    """
+    slots = frozenset(spec.slot_name for spec in ontology.all_slots()) if ontology else frozenset()
+    prefixes = {domain: domain + "-" for domain in domains}
+    wrong = dict.fromkeys(prefixes, 0)
+    all_wrong = active = active_missed = absent_missed = 0
+    for predicted, gold in pairs:
+        active += len(slots.intersection(gold))
+        diff = differing_slots(predicted, gold)
+        if diff:
+            all_wrong += 1
+            for domain, prefix in prefixes.items():
+                wrong[domain] += any(slot.startswith(prefix) for slot in diff)
+            missed = slots.intersection(diff)
+            active_missed += len(missed.intersection(gold))
+            absent_missed += len(missed.difference(gold))
+    n = len(pairs)
+    absent = n * len(slots) - active
+    rate = lambda hit, total: hit / total if total else 1.0
+    return (
+        (n - all_wrong) / n,
+        {domain: (n - count) / n for domain, count in wrong.items()},
+        (rate(active - active_missed, active), rate(absent - absent_missed, absent)),
+    )
+
+
 def joint_goal_accuracy(
     pairs: list[tuple[DialogueState, DialogueState]],
     domain_filter: str | None = None,
 ) -> float:
-    """Fraction of (predicted, gold) pairs that match exactly as sets.
+    """Fraction of (predicted, gold) pairs that match exactly.
 
     With ``domain_filter``, a pair matches when both states agree on every
-    slot named ``domain_filter + "-..."``, i.e. when no item of the symmetric
-    difference of their item sets is such a slot. State values must therefore
-    be hashable, as they are in a ``DialogueState`` (str to str).
+    slot named ``domain_filter + "-..."``.
     """
     if not pairs:
         raise ValueError("joint goal accuracy is undefined for zero turns")
-    prefix = None if domain_filter is None else domain_filter + "-"
-    correct = 0
-    for predicted, gold in pairs:
-        if predicted == gold:
-            correct += 1
-        elif prefix is not None:
-            correct += not any(
-                slot.startswith(prefix) for slot, _ in predicted.items() ^ gold.items()
-            )
-    return correct / len(pairs)
+    if domain_filter is None:
+        return _state_scores(pairs)[0]
+    return _state_scores(pairs, (domain_filter,))[1][domain_filter]
 
 
 def slot_accuracy(
@@ -113,19 +140,7 @@ def slot_accuracy(
     """(active-slot accuracy, absent-slot accuracy) over the full slot universe."""
     if not pairs:
         raise ValueError("slot accuracy is undefined for zero turns")
-    slots = [spec.slot_name for spec in ontology.all_slots()]
-    true_hit = true_total = none_hit = none_total = 0
-    for predicted, gold in pairs:
-        for slot in slots:
-            if slot in gold:
-                true_total += 1
-                true_hit += predicted.get(slot) == gold[slot]
-            else:
-                none_total += 1
-                none_hit += slot not in predicted
-    true_acc = true_hit / true_total if true_total else 1.0
-    none_acc = none_hit / none_total if none_total else 1.0
-    return true_acc, none_acc
+    return _state_scores(pairs, (), ontology)[2]
 
 
 # -- n-gram overlap metrics ------------------------------------------------------
@@ -311,64 +326,29 @@ def classify_errors(
     record. A slot present on both sides with different values counts as a
     hallucinated value. Every differing slot lands in exactly one record.
     """
-    order = lambda name: _slot_order(ontology, name)
-    pred_only = sorted((s for s in predicted if s not in gold), key=order)
-    gold_only = sorted((s for s in gold if s not in predicted), key=order)
-    value_conflicts = sorted(
-        (s for s in predicted if s in gold and predicted[s] != gold[s]), key=order
-    )
-
-    def kind_of(slot_name: str) -> tuple[str, str]:
-        spec = ontology.slot(slot_name)
-        return (spec.domain, spec.value_kind)
-
+    diff = sorted(differing_slots(predicted, gold), key=lambda s: _slot_order(ontology, s))
+    pred_only = [s for s in diff if s not in gold]
+    gold_only = [s for s in diff if s not in predicted]
+    value_conflicts = [s for s in diff if s in predicted and s in gold]
+    specs = [ontology.slot(s) for s in diff if ontology.has_slot(s)]
+    kinds = {spec.slot_name: (spec.domain, spec.value_kind) for spec in specs}
     records = []
-    consumed: set[str] = set()
     for gold_slot in gold_only:
+        value, kind = gold[gold_slot], kinds.get(gold_slot)
         match = next(
-            (
-                pred_slot
-                for pred_slot in pred_only
-                if pred_slot not in consumed
-                and ontology.has_slot(pred_slot)
-                and ontology.has_slot(gold_slot)
-                and kind_of(pred_slot) == kind_of(gold_slot)
-                and predicted[pred_slot] == gold[gold_slot]
-            ),
-            None,
+            (s for s in pred_only if kind and kinds.get(s) == kind and predicted[s] == value), None
         )
-        if match is not None:
-            consumed.add(match)
-            records.append(
-                ErrorRecord(
-                    kind="wrong_slot",
-                    slot_name=gold_slot,
-                    predicted_value=predicted[match],
-                    gold_value=gold[gold_slot],
-                    predicted_slot=match,
-                )
-            )
+        if match is None:
+            records.append(ErrorRecord("missing_slot", gold_slot, gold_value=value))
         else:
+            pred_only.remove(match)
             records.append(
-                ErrorRecord(kind="missing_slot", slot_name=gold_slot, gold_value=gold[gold_slot])
+                ErrorRecord("wrong_slot", gold_slot, value, gold_value=value, predicted_slot=match)
             )
-    for pred_slot in pred_only:
-        if pred_slot not in consumed:
-            records.append(
-                ErrorRecord(
-                    kind="hallucination",
-                    slot_name=pred_slot,
-                    predicted_value=predicted[pred_slot],
-                )
-            )
-    for slot_name in value_conflicts:
-        records.append(
-            ErrorRecord(
-                kind="hallucination",
-                slot_name=slot_name,
-                predicted_value=predicted[slot_name],
-            )
-        )
+    records.extend(
+        ErrorRecord("hallucination", s, predicted_value=predicted[s])
+        for s in pred_only + value_conflicts
+    )
     return records
 
 
@@ -393,10 +373,12 @@ def evaluate_run(
     function of the same name, over the (predicted, gold) state pairs or the
     predicted and gold summaries in (dialogue_id, turn_index) order;
     ``rouge_n_f1`` is the per-turn mean, and ``error_counts`` tallies
-    ``classify_errors``. Each summary pair is split and counted once for
-    orders 1-4, and ROUGE-1/2/4 reuse BLEU's cased counts; the pair is
-    lowercased and counted again only when a text is not ASCII or lowering
-    merges two tokens of the windows where the texts differ.
+    ``classify_errors``. One ordered diff per state pair (``differing_slots``)
+    feeds JGA, per-domain JGA, slot accuracy and the error tallies. Each
+    summary pair is split and counted once for orders 1-4, and ROUGE-1/2/4
+    reuse BLEU's cased counts; the pair is lowercased and counted again only
+    when a text is not ASCII or lowering merges two tokens of the windows
+    where the texts differ.
     """
     diagnostics: list[str] = []
     records: list[PredictionRecord] = load_predictions(predictions_path, diagnostics)
@@ -414,9 +396,7 @@ def evaluate_run(
 
     extractor = StateExtractor(ontology)
     gold_cfg = replace(cfg, domain_order="canonical")
-    pairs = []
-    candidates = []
-    references = []
+    pairs, candidates, references = [], [], []
     error_counts = dict.fromkeys(ERROR_KINDS, 0)
     per_turn_diagnostics = []
     gold_state: DialogueState | None = None
@@ -460,18 +440,17 @@ def evaluate_run(
         bleu_counts.append(cased)
         for i, n in enumerate(_ROUGE_ORDERS):
             rouge_sums[i] += _rouge_f1(cand_len, ref_len, n, overlaps[n - 1])
-    true_acc, none_acc = slot_accuracy(pairs, ontology)
+    jga, per_domain_jga, (true_acc, none_acc) = _state_scores(pairs, ontology.domains, ontology)
     report = Report(
         n_turns=len(pairs),
         n_parses=extractor.parses,
-        all_domain_jga=joint_goal_accuracy(pairs),
-        per_domain_jga={d: joint_goal_accuracy(pairs, d) for d in ontology.domains},
+        all_domain_jga=jga,
+        per_domain_jga=per_domain_jga,
         slot_true_acc=true_acc,
         slot_none_acc=none_acc,
         bleu4=_bleu(bleu_counts),
         rouge_n_f1={n: total / len(pairs) for n, total in zip(_ROUGE_ORDERS, rouge_sums)},
         error_counts=error_counts,
-        gold_summary_domain_order="canonical",
         diagnostics=diagnostics,
     )
     if out is not None:

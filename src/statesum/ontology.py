@@ -36,6 +36,14 @@ DialogueState = dict[str, str]
 _DEFAULT_SCHEMA = "multiwoz_en.yaml"
 
 
+def differing_slots(a: DialogueState, b: DialogueState) -> list[str]:
+    """Slots whose value differs between two states, absence included: those
+    of ``a`` in its key order, then those only in ``b`` in its key order."""
+    if a == b:
+        return []
+    return [s for s in a if s not in b or a[s] != b[s]] + [s for s in b if s not in a]
+
+
 def article_for(value: str) -> str:
     """Indefinite article for a value: "an" before a vowel, else "a"."""
     return "an" if value[:1].lower() in "aeiou" else "a"

@@ -309,7 +309,7 @@ def test_eval_non_string_predicted_summary_exits_2(monkeypatch, capsys, tmp_path
     assert "line 2: predicted_summary is not a string" in err
 
 
-@pytest.mark.parametrize("turn_index", [None, "first"])
+@pytest.mark.parametrize("turn_index", [None, "first", 1.9, True])
 def test_eval_non_integer_turn_index_exits_2(monkeypatch, capsys, tmp_path, turn_index):
     predictions = tmp_path / "preds.jsonl"
     predictions.write_text(

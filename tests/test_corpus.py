@@ -379,6 +379,32 @@ def test_export_skips_colliding_turn(mini_corpus, ont, tmp_path):
     )
 
 
+def test_export_skips_dialogue_with_off_schema_gold_slot(mini_corpus, ont, tmp_path):
+    # The loader keeps any raw semi/book key, so "trainID" loads as the
+    # off-schema slot "train-book trainid"; only that dialogue is left out.
+    raw = json.loads((FIXTURE_CORPUS / "data.json").read_text())
+    raw["SNG0003.json"]["log"][3]["metadata"]["train"]["book"]["trainID"] = "TR1234"
+    (tmp_path / "data.json").write_text(json.dumps(raw))
+    for name in ("valListFile.json", "testListFile.json"):
+        (tmp_path / name).write_text((FIXTURE_CORPUS / name).read_text())
+    corpus = load_multiwoz(tmp_path)
+    split = sample_fewshot(corpus, "md", ratio=1.0, seed=11)
+    assert "SNG0003.json" in split.finetune_ids
+    baseline, baseline_diags = tmp_path / "baseline.jsonl", []
+    export_training_file(split, mini_corpus, ont, out=baseline, diagnostics=baseline_diags)
+    out, diagnostics = tmp_path / "labels.jsonl", []
+    written = export_training_file(split, corpus, ont, out=out, diagnostics=diagnostics)
+    expected = [
+        line for line in baseline.read_text().splitlines()
+        if json.loads(line)["dialogue_id"] != "SNG0003.json"
+    ]
+    assert out.read_text().splitlines() == expected and written == len(expected)
+    assert len(diagnostics) == len(baseline_diags) + 1
+    assert [d for d in diagnostics if d not in baseline_diags] == [
+        "SNG0003.json: skipped, unknown slot 'train-book trainid'"
+    ]
+
+
 @pytest.mark.parametrize("cfg", [
     TemplateConfig(paraphrasing=p, dontcare_concat=c, domain_order=o)
     for p, c, o in ((True, True, "shuffled"), (False, True, "canonical"),

@@ -1,5 +1,6 @@
 import json
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from statesum import (
+    ErrorRecord,
     EvaluationError,
     bleu4,
     classify_errors,
@@ -415,6 +417,22 @@ def test_no_errors_for_identical_states(ont):
     assert classify_errors(dict(gd.MULTI_DOMAIN_STATE), dict(gd.MULTI_DOMAIN_STATE), ont) == []
 
 
+def test_error_records_keep_state_order_among_off_schema_slots(ont):
+    # Off-schema slots all sort last and tie, so their records follow each
+    # state's key order: an unordered (set-based) diff would shuffle them.
+    predicted = {"hotel-foo": "x", "hotel-area": "north", "train-": "y", "taxi-x": "z"}
+    gold = {"hotels-area": "north", "-area": "east", "hotel-area": "south", "attraction-": "w"}
+    assert classify_errors(predicted, gold, ont) == [
+        ErrorRecord("missing_slot", "hotels-area", gold_value="north"),
+        ErrorRecord("missing_slot", "-area", gold_value="east"),
+        ErrorRecord("missing_slot", "attraction-", gold_value="w"),
+        ErrorRecord("hallucination", "hotel-foo", predicted_value="x"),
+        ErrorRecord("hallucination", "train-", predicted_value="y"),
+        ErrorRecord("hallucination", "taxi-x", predicted_value="z"),
+        ErrorRecord("hallucination", "hotel-area", predicted_value="north"),
+    ]
+
+
 def test_error_taxonomy_end_to_end_from_summaries(ont):
     # Model-style outputs run through the parser first, then the classifier.
     cases = [
@@ -660,6 +678,12 @@ def test_evaluate_run_text_scores_equal_public_functions_and_oracles(ont, turns)
             for i, candidate in enumerate(candidates)
         ])
         report = evaluate_run(preds, Corpus(version="2.1", splits={"test": [dialogue]}), ont)
+    pairs = [(summary_to_state(text, ont), state) for text, state in zip(candidates, states)]
+    assert report.all_domain_jga == joint_goal_accuracy(pairs)
+    assert report.per_domain_jga == {d: joint_goal_accuracy(pairs, d) for d in ont.domains}
+    assert (report.slot_true_acc, report.slot_none_acc) == slot_accuracy(pairs, ont)
+    errors = Counter(r.kind for pair in pairs for r in classify_errors(*pair, ont))
+    assert report.error_counts == {kind: errors[kind] for kind in metrics.ERROR_KINDS}
     assert report.bleu4 == bleu4(candidates, references)
     assert report.bleu4 == pytest.approx(reference_bleu4(candidates, references), abs=1e-6)
     for n in (1, 2, 4):

@@ -16,6 +16,8 @@ from statesum import (
     validate_state,
 )
 
+from statesum.ontology import differing_slots
+
 from conftest import collisions_of
 
 MINIMAL_SCHEMA = """
@@ -253,3 +255,11 @@ def test_random_state_property(ont, seed):
     assert state
     assert not validate_state(ont, state)
     assert random_state(ont, seed=seed) == state
+
+
+def test_differing_slots_is_ordered_and_counts_absence():
+    a = {"c": "1", "a": "1", "b": "1"}
+    b = {"d": "1", "b": "2", "a": "1", "e": "1"}
+    assert differing_slots(a, b) == ["c", "b", "d", "e"]
+    assert differing_slots(b, a) == ["d", "b", "e", "c"]
+    assert differing_slots(a, dict(reversed(a.items()))) == []

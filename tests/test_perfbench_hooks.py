@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from statesum import default_ontology, evaluate_run, load_multiwoz
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -29,10 +31,12 @@ def test_trace_points_exist(monkeypatch):
         assert attr in owner.__dict__, (owner, attr, name)
 
 
-def test_generated_workload_passes_the_benchmark_check(tmp_path, monkeypatch):
-    # eval-noisy's generator reads SlotSpec.bare_name and Ontology.domain_of.
+@pytest.mark.parametrize("workload", ["eval-noisy", "eval-exact"])
+def test_generated_workload_passes_the_benchmark_check(tmp_path, monkeypatch, workload):
+    # eval-noisy's generator reads SlotSpec.bare_name and Ontology.domain_of;
+    # eval-exact scores only equal pairs, which every state score must count right.
     proc = subprocess.run(
-        [sys.executable, str(PERFBENCH / "gen.py"), "--workload", "eval-noisy", "--seed", "1",
+        [sys.executable, str(PERFBENCH / "gen.py"), "--workload", workload, "--seed", "1",
          "--out", str(tmp_path)],
         capture_output=True, text=True, timeout=120,
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
