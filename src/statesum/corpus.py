@@ -8,7 +8,6 @@ normalized to ``"<domain>-<slot>"`` and values to the converter's conventions.
 
 from __future__ import annotations
 
-import gc
 import json
 import logging
 import math
@@ -233,17 +232,17 @@ def _build_dialogue(dialogue_id: str, raw: dict) -> Dialogue:
     )
 
 
-def _read_archive(path: Path) -> tuple[dict, list[str], list[str]]:
-    """Return (raw data, dev ids, test ids) from a directory or zip archive."""
+def _read_archive(path: Path) -> tuple[str, list[str], list[str]]:
+    """Return (``data.json`` text, dev ids, test ids) from a directory or zip archive."""
 
     def parse_list(text: str) -> list[str]:
         return [line.strip() for line in text.splitlines() if line.strip()]
 
-    def read_all(names, read) -> tuple[dict, list[str], list[str]]:
+    def read_all(names, read) -> tuple[str, list[str], list[str]]:
         """``read`` maps a located name to its bytes, for either layout."""
         required = _locate(names)
         data, dev, test = (read(required[key]).decode("utf-8") for key in ("data", "val", "test"))
-        return json.loads(data), parse_list(dev), parse_list(test)
+        return data, parse_list(dev), parse_list(test)
 
     if path.is_dir():
         files = {p.name: p for p in sorted(path.rglob("*")) if p.is_file()}
@@ -271,55 +270,68 @@ def _locate(names) -> dict[str, str]:
     return found
 
 
-@contextmanager
-def _collector_paused():
-    """Disable the cyclic garbage collector for the block, then restore its state."""
-    was_enabled = gc.isenabled()
-    gc.disable()
+def _records(text: str, path: Path):
+    """Yield the (dialogue id, raw record) pairs of the JSON object ``text`` in
+    file order, decoding one record at a time. Text that is not one well-formed
+    JSON object raises what ``json.loads`` raises, or CorpusError if it is
+    valid JSON of another type."""
+    decode, skip = json.JSONDecoder().raw_decode, json.decoder.WHITESPACE.match
+    closed = False
     try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
+        pos = skip(text).end()
+        if text.startswith("{", pos):
+            pos = skip(text, pos + 1).end()
+            closed = text.startswith("}", pos)
+            while not closed and text.startswith('"', pos):
+                key, pos = decode(text, pos)
+                pos = skip(text, pos).end()
+                if not text.startswith(":", pos):
+                    break
+                record, pos = decode(text, skip(text, pos + 1).end())
+                yield key, record
+                pos = skip(text, pos).end()
+                closed = text.startswith("}", pos)
+                if not text.startswith(",", pos):
+                    break
+                pos = skip(text, pos + 1).end()
+        if closed and skip(text, pos + 1).end() == len(text):
+            return
+    except json.JSONDecodeError:
+        pass
+    json.loads(text)  # raises json's own error for malformed text
+    raise CorpusError(f"{path}: data.json is not an object of dialogue records")
 
 
 def load_multiwoz(path: str | Path, version: str = "2.1") -> Corpus:
     """Load a raw archive into per-split dialogues with normalized states.
 
     Dialogues annotated only with unsupported domains are dropped; malformed
-    records are skipped and counted in the corpus diagnostics. The cyclic
-    garbage collector is paused process-wide during the load, so cyclic
-    garbage of other threads waits until the load returns; the collector's
-    previous state is then restored.
+    records are skipped and counted in the corpus diagnostics. ``data.json`` is
+    decoded one dialogue record at a time and each record is dropped once its
+    dialogue is built, so the parsed document is never alive as a whole. A
+    repeated dialogue id keeps its first position and its last record, as in
+    the dict ``json.loads`` builds.
     """
     if version not in SUPPORTED_VERSIONS:
         raise CorpusError(f"unsupported version {version!r}; expected one of {SUPPORTED_VERSIONS}")
     path = Path(path)
     if not path.exists():
         raise CorpusError(f"{path}: no such file or directory")
-    # The load allocates millions of containers, and every collector pass would
-    # walk the growing parsed document again. Neither that document nor the
-    # Turn/Dialogue/Corpus objects hold reference cycles, so reference counting
-    # frees all of it. The pause must last until the raw document is gone: a
-    # collection soon after re-enabling would walk the whole tree once more.
-    with _collector_paused():
-        return _load_archive(path, version)
-
-
-def _load_archive(path: Path, version: str) -> Corpus:
-    data, dev_ids, test_ids = _read_archive(path)
-    if not isinstance(data, dict):
-        raise CorpusError(f"{path}: data.json is not an object of dialogue records")
+    text, dev_ids, test_ids = _read_archive(path)
+    built: dict[str, Dialogue | str] = {}  # a str is the diagnostic of a skipped record
+    for dialogue_id, raw in _records(text, path):
+        try:
+            built[dialogue_id] = _build_dialogue(dialogue_id, raw)
+        except CorpusError as exc:
+            built[dialogue_id] = f"{dialogue_id}: skipped ({exc})"
 
     diagnostics: list[str] = []
     splits: dict[str, list[Dialogue]] = {"train": [], "dev": [], "test": []}
     dev_set, test_set = set(dev_ids), set(test_ids)
     dropped = 0
-    for dialogue_id, raw in data.items():
-        try:
-            dialogue = _build_dialogue(dialogue_id, raw)
-        except CorpusError as exc:
-            diagnostics.append(f"{dialogue_id}: skipped ({exc})")
+    for dialogue_id, dialogue in built.items():
+        if isinstance(dialogue, str):
+            diagnostics.append(dialogue)
             continue
         if not dialogue.domains:
             dropped += 1
@@ -489,8 +501,8 @@ def load_predictions(
 
     Duplicate (dialogue_id, turn_index) keys keep the last record and emit a
     diagnostic; a missing field, a ``turn_index`` that is neither an integer
-    nor a string of digits, or a ``predicted_summary`` that is not a string,
-    raises with its line number.
+    nor a string of digits, or a ``dialogue_id`` or ``predicted_summary`` that
+    is not a string, raises with its line number.
     """
     diags = diagnostics if diagnostics is not None else []
     records: dict[tuple[str, int], PredictionRecord] = {}
@@ -512,10 +524,11 @@ def load_predictions(
                 turn_index = int(turn_index)
             if type(turn_index) is not int:  # a bool is an int, but not a turn index
                 raise CorpusError(f"line {line_no}: turn_index is not an integer")
-            if not isinstance(payload["predicted_summary"], str):
-                raise CorpusError(f"line {line_no}: predicted_summary is not a string")
+            for key in ("dialogue_id", "predicted_summary"):
+                if not isinstance(payload[key], str):
+                    raise CorpusError(f"line {line_no}: {key} is not a string")
             record = PredictionRecord(
-                dialogue_id=str(payload["dialogue_id"]),
+                dialogue_id=payload["dialogue_id"],
                 turn_index=turn_index,
                 predicted_summary=payload["predicted_summary"],
             )

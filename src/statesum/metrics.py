@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .corpus import Corpus, PredictionRecord, load_predictions, write_atomic
 from .destate import StateExtractor
-from .errors import EvaluationError
+from .errors import EvaluationError, StateValidationError
 from .ontology import DialogueState, Ontology, TemplateConfig, differing_slots
 from .summarize import state_to_summary
 
@@ -378,7 +378,8 @@ def evaluate_run(
     summary pair is split and counted once for orders 1-4, and ROUGE-1/2/4
     reuse BLEU's cased counts; the pair is lowercased and counted again only
     when a text is not ASCII or lowering merges two tokens of the windows
-    where the texts differ.
+    where the texts differ. A gold state the schema rejects raises
+    ``EvaluationError`` naming its turn.
     """
     diagnostics: list[str] = []
     records: list[PredictionRecord] = load_predictions(predictions_path, diagnostics)
@@ -410,7 +411,11 @@ def evaluate_run(
         # The render follows the state's slot order, so a reuse needs that order too.
         if turn.state != gold_state or list(turn.state) != list(gold_state):
             gold_state = turn.state
-            reference = state_to_summary(gold_state, ontology, gold_cfg)
+            try:
+                reference = state_to_summary(gold_state, ontology, gold_cfg)
+            except StateValidationError as exc:
+                where = f"{record.dialogue_id}/{record.turn_index}"
+                raise EvaluationError(f"{where}: gold state rejected by the schema: {exc}") from exc
         references.append(reference)
         for error in classify_errors(parsed.state, turn.state, ontology):
             error_counts[error.kind] += 1

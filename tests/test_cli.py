@@ -309,6 +309,53 @@ def test_eval_non_string_predicted_summary_exits_2(monkeypatch, capsys, tmp_path
     assert "line 2: predicted_summary is not a string" in err
 
 
+@pytest.mark.parametrize("dialogue_id", [5, None, ["x"]])
+def test_eval_non_string_dialogue_id_exits_2(monkeypatch, capsys, tmp_path, dialogue_id):
+    predictions = tmp_path / "preds.jsonl"
+    predictions.write_text(
+        json.dumps({"dialogue_id": "SNG0001.json", "turn_index": 0, "predicted_summary": ""}) + "\n"
+        + json.dumps({"dialogue_id": dialogue_id, "turn_index": 0,
+                      "predicted_summary": ""}) + "\n"
+    )
+    code, _, err = _run(
+        ["eval", "--corpus", str(FIXTURE_CORPUS), "--predictions", str(predictions),
+         "--out", str(tmp_path / "r.json")],
+        monkeypatch, capsys,
+    )
+    assert code == 2
+    assert "line 2: dialogue_id is not a string" in err
+
+
+def test_eval_names_the_turn_whose_gold_state_the_schema_rejects(monkeypatch, capsys, tmp_path):
+    # The loader keeps any raw book key, so "trainID" loads as the off-schema
+    # slot "train-book trainid" in every SNG0003 state from its first train block.
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    raw = json.loads((FIXTURE_CORPUS / "data.json").read_text())
+    for entry in raw["SNG0003.json"]["log"]:
+        train = entry.get("metadata", {}).get("train")
+        if train:
+            train["book"]["trainID"] = "TR1234"
+    (corpus / "data.json").write_text(json.dumps(raw))
+    for name in ("valListFile.json", "testListFile.json"):
+        (corpus / name).write_text((FIXTURE_CORPUS / name).read_text())
+    predictions = tmp_path / "preds.jsonl"
+    predictions.write_text(
+        json.dumps({"dialogue_id": "SNG0003.json", "turn_index": 1, "predicted_summary": ""}) + "\n"
+    )
+    code, _, err = _run(
+        ["eval", "--corpus", str(corpus), "--predictions", str(predictions),
+         "--out", str(tmp_path / "r.json")],
+        monkeypatch, capsys,
+    )
+    assert code == 2
+    assert err.strip() == (
+        "error: SNG0003.json/1: gold state rejected by the schema: "
+        "unknown slot 'train-book trainid'"
+    )
+    assert not (tmp_path / "r.json").exists()
+
+
 @pytest.mark.parametrize("turn_index", [None, "first", 1.9, True])
 def test_eval_non_integer_turn_index_exits_2(monkeypatch, capsys, tmp_path, turn_index):
     predictions = tmp_path / "preds.jsonl"

@@ -1,6 +1,7 @@
 import gc
 import json
 import time
+import tracemalloc
 import zipfile
 
 import pytest
@@ -154,7 +155,7 @@ def test_load_restores_collector_state(enabled_before):
 
 
 def test_failed_load_restores_collector_state(tmp_path):
-    # Only data.json: the archive check raises inside the collector pause.
+    # Only data.json: the archive check raises before any record is decoded.
     (tmp_path / "data.json").write_text("{}")
     assert gc.isenabled()
     with pytest.raises(CorpusError, match="missing"):
@@ -251,6 +252,119 @@ def test_non_object_data_file_is_an_error(tmp_path):
     (tmp_path / "testListFile.json").write_text("")
     with pytest.raises(CorpusError, match="not an object"):
         load_multiwoz(tmp_path)
+
+
+def _fixture_records() -> dict:
+    return json.loads((FIXTURE_CORPUS / "data.json").read_text())
+
+
+def _object_text(pairs, separator=", ") -> str:
+    """A JSON object of ``pairs`` written member by member, so ids may repeat."""
+    return "{" + separator.join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in pairs) + "}"
+
+
+def _write_archive(root, text, layout="dir"):
+    """An archive with ``text`` as data.json and the fixture's id lists."""
+    files = {"data.json": text.encode("utf-8")}
+    for name in ("valListFile.json", "testListFile.json"):
+        files[name] = (FIXTURE_CORPUS / name).read_bytes()
+    if layout == "zip":
+        archive = root / "corpus.zip"
+        with zipfile.ZipFile(archive, "w") as zf:
+            for name, data in files.items():
+                zf.writestr(f"MULTIWOZ2.1/{name}", data)
+        return archive
+    directory = root / "corpus"
+    directory.mkdir(parents=True)
+    for name, data in files.items():
+        (directory / name).write_bytes(data)
+    return directory
+
+
+@pytest.mark.parametrize("text", ["{}", " \n{ \r\n\t}\n "])
+def test_empty_object_loads_an_empty_corpus(tmp_path, text):
+    corpus = load_multiwoz(_write_archive(tmp_path, text))
+    assert corpus.splits == {"train": [], "dev": [], "test": []}
+    assert corpus.diagnostics == []
+
+
+def test_whitespace_around_records_is_accepted(mini_corpus, tmp_path):
+    members = ",\n\t".join(
+        f" {json.dumps(k)} \r\n:\n{json.dumps(v, indent=1)} "
+        for k, v in _fixture_records().items()
+    )
+    text = "\n \t\r\n{\n" + members + "\n}\n\n "
+    assert load_multiwoz(_write_archive(tmp_path, text)) == mini_corpus
+
+
+def test_repeated_id_keeps_first_position_and_last_record(tmp_path):
+    records = _fixture_records()
+    ids = list(records)
+    bad = {"goal": {}, "log": []}
+    pairs = [
+        (ids[0], bad), *((i, records[i]) for i in ids[1:5]), (ids[0], records[ids[0]]),
+        (ids[2], bad), *((i, records[i]) for i in ids[5:]), (ids[3], records[ids[1]]),
+    ]
+    text = _object_text(pairs)
+    corpus = load_multiwoz(_write_archive(tmp_path, text))
+    reference = load_multiwoz(_write_archive(tmp_path / "ref", json.dumps(json.loads(text))))
+    assert corpus == reference
+    by_id = corpus.dialogue_map()
+    assert ids[0] in by_id and ids[2] not in by_id
+    assert by_id[ids[3]].turns == by_id[ids[1]].turns
+    assert f"{ids[2]}: skipped (missing goal or log)" in corpus.diagnostics
+
+
+_RECORD_PAIRS = list(_fixture_records().items())
+_WHOLE_TEXT = _object_text(_RECORD_PAIRS)
+_MALFORMED_TEXTS = {
+    "truncated-mid-record": _WHOLE_TEXT[: len(_WHOLE_TEXT) // 2],
+    "missing-comma": _object_text(_RECORD_PAIRS, separator=" "),
+    "trailing-comma": _WHOLE_TEXT[:-1] + ",}",
+    "extra-data": _WHOLE_TEXT + " {}",
+    "utf8-bom": "\ufeff" + _WHOLE_TEXT,
+    "array": "[]",
+    "null": "null",
+    "empty": "",
+    "semicolon-for-colon": '{"A.json"; {}}',
+    "semicolon-for-comma": '{"A.json": {}; "B.json": {}}',
+    "non-string-key": "{1: {}}",
+    "unclosed": "{",
+}
+
+
+@pytest.mark.parametrize("layout", ["dir", "zip"])
+@pytest.mark.parametrize("case", list(_MALFORMED_TEXTS))
+def test_malformed_data_file_raises_what_json_loads_raises(tmp_path, case, layout):
+    text = _MALFORMED_TEXTS[case]
+    path = _write_archive(tmp_path, text, layout)
+    try:
+        json.loads(text)
+    except json.JSONDecodeError as exc:
+        expected = (type(exc), str(exc))
+    else:
+        expected = (CorpusError, f"{path}: data.json is not an object of dialogue records")
+    with pytest.raises(Exception) as info:
+        load_multiwoz(path)
+    assert (type(info.value), str(info.value)) == expected
+
+
+def test_load_peak_memory_is_at_most_three_times_the_file(tmp_path):
+    # A whole parsed data.json is about 7 times its text; decoded one record
+    # at a time, only the text, one record and the corpus are alive.
+    records = _fixture_records()
+    data = {f"COPY{copy:03d}-{k}": v for copy in range(100) for k, v in records.items()}
+    path = _write_archive(tmp_path, json.dumps(data))
+    size = (path / "data.json").stat().st_size
+    assert size >= 2_000_000
+    tracemalloc.start()
+    try:
+        corpus = load_multiwoz(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(corpus.train) == 100 * 9
+    assert peak <= 3 * size, f"peak {peak / size:.1f}x the file size"
 
 
 # -- few-shot sampling -----------------------------------------------------------

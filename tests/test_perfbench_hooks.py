@@ -9,7 +9,14 @@ from pathlib import Path
 
 import pytest
 
-from statesum import default_ontology, evaluate_run, load_multiwoz
+from statesum import (
+    TemplateConfig,
+    default_ontology,
+    evaluate_run,
+    export_training_file,
+    load_multiwoz,
+    sample_fewshot,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -31,10 +38,11 @@ def test_trace_points_exist(monkeypatch):
         assert attr in owner.__dict__, (owner, attr, name)
 
 
-@pytest.mark.parametrize("workload", ["eval-noisy", "eval-exact"])
+@pytest.mark.parametrize("workload", ["eval-noisy", "eval-exact", "export-md"])
 def test_generated_workload_passes_the_benchmark_check(tmp_path, monkeypatch, workload):
     # eval-noisy's generator reads SlotSpec.bare_name and Ontology.domain_of;
-    # eval-exact scores only equal pairs, which every state score must count right.
+    # eval-exact scores only equal pairs, which every state score must count right;
+    # export-md loads a 17 MB archive, so the streamed loader meets the label check.
     proc = subprocess.run(
         [sys.executable, str(PERFBENCH / "gen.py"), "--workload", workload, "--seed", "1",
          "--out", str(tmp_path)],
@@ -44,8 +52,16 @@ def test_generated_workload_passes_the_benchmark_check(tmp_path, monkeypatch, wo
     assert proc.returncode == 0, proc.stderr
     check = _load("check", monkeypatch)
     ont = default_ontology()
-    evaluate_run(tmp_path / "predictions.jsonl", load_multiwoz(tmp_path / "corpus"), ont,
-                 out=tmp_path / "report.json")
+    corpus = load_multiwoz(tmp_path / "corpus")
     expected = json.loads((tmp_path / "expected.json").read_text("utf-8"))
-    verdict = check.check_eval(ROOT, tmp_path, expected, ont)
-    assert verdict.correct and verdict.attempted == 5000, verdict.problems[:5]
+    if workload == "export-md":
+        cfg, skipped = TemplateConfig(domain_order="shuffled"), []
+        split = sample_fewshot(corpus, "md", ratio=1.0, seed=1)
+        written = export_training_file(split, corpus, ont, cfg, tmp_path / "labels.jsonl", skipped)
+        verdict = check.check_export(tmp_path, expected, ont, cfg, written, len(skipped))
+        assert written and skipped
+    else:
+        evaluate_run(tmp_path / "predictions.jsonl", corpus, ont, out=tmp_path / "report.json")
+        verdict = check.check_eval(ROOT, tmp_path, expected, ont)
+        assert verdict.attempted == 5000
+    assert verdict.correct, verdict.problems[:5]
