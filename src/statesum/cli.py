@@ -175,6 +175,8 @@ def _cmd_eval(args, ontology) -> int:
 
 
 def _cmd_fuzz(args, ontology) -> int:
+    if args.trials < 1:
+        raise UsageError(f"--trials must be at least 1, got {args.trials}")
     configs = [TemplateConfig()]
     if args.all_configs:
         configs = [

@@ -20,13 +20,13 @@ from pathlib import Path
 
 from .destate import reserved_collisions
 from .errors import CorpusError, ProtocolError, StateValidationError
-from .ontology import DONTCARE, DialogueState, Ontology, TemplateConfig
+from .ontology import DOMAIN_NAMES as SUPPORTED_DOMAINS
+from .ontology import DONTCARE, DialogueState, Ontology, TemplateConfig, clean_value
 from .summarize import synthesize_labels
 
 log = logging.getLogger(__name__)
 
 SUPPORTED_VERSIONS = ("2.0", "2.1")
-SUPPORTED_DOMAINS = ("attraction", "hotel", "restaurant", "taxi", "train")
 RATIOS = (0.01, 0.05, 0.10, 1.00)
 MODES = ("cross_domain", "cross_task", "multi_domain")
 
@@ -111,7 +111,6 @@ class PredictionRecord:
     dialogue_id: str
     turn_index: int
     predicted_summary: str
-    predicted_state: DialogueState | None = None
 
 
 @contextmanager
@@ -144,7 +143,7 @@ def normalize_raw_value(raw, slot_name: str = "") -> str | None:
         raw = raw[0] if raw else ""
     if not isinstance(raw, str):
         return None
-    value = " ".join(raw.replace(",", "").replace(".", "").lower().split())
+    value = clean_value(raw.lower())
     if value in _NONE_VALUES:
         return None
     if value in _DONTCARE_VALUES:
@@ -160,32 +159,22 @@ def _state_from_metadata(metadata: dict) -> DialogueState:
         annotation = metadata.get(domain)
         if not isinstance(annotation, dict):
             continue
-        semi = annotation.get("semi") or {}
-        if not isinstance(semi, dict):
-            raise CorpusError(f"{domain} semi block is not an object")
-        for raw_key, raw_value in semi.items():
-            # Most raw values are exact blanks, which normalize to None.
-            if isinstance(raw_value, str) and raw_value in _NONE_VALUES:
-                continue
-            key = str(raw_key).lower()
-            key = _SLOT_ALIASES.get(key, key)
-            slot_name = f"{domain}-{key}"
-            value = normalize_raw_value(raw_value, slot_name)
-            if value is not None:
-                state[slot_name] = value
-        book = annotation.get("book") or {}
-        if not isinstance(book, dict):
-            raise CorpusError(f"{domain} book block is not an object")
-        for raw_key, raw_value in book.items():
-            if raw_key == "booked":
-                continue
-            if isinstance(raw_value, str) and raw_value in _NONE_VALUES:
-                continue
-            key = str(raw_key).lower()
-            slot_name = f"{domain}-book {key}"
-            value = normalize_raw_value(raw_value, slot_name)
-            if value is not None:
-                state[slot_name] = value
+        for block, infix in (("semi", ""), ("book", "book ")):
+            entries = annotation.get(block) or {}
+            if not isinstance(entries, dict):
+                raise CorpusError(f"{domain} {block} block is not an object")
+            for raw_key, raw_value in entries.items():
+                if raw_key == "booked":
+                    continue
+                # Most raw values are exact blanks, which normalize to None.
+                if isinstance(raw_value, str) and raw_value in _NONE_VALUES:
+                    continue
+                key = str(raw_key).lower()
+                key = _SLOT_ALIASES.get(key, key)
+                slot_name = f"{domain}-{infix}{key}"
+                value = normalize_raw_value(raw_value, slot_name)
+                if value is not None:
+                    state[slot_name] = value
     return state
 
 
@@ -365,59 +354,48 @@ def domain_counts(dialogues: list[Dialogue]) -> dict[str, tuple[int, int]]:
 # -- few-shot sampling ---------------------------------------------------------
 
 
-def _round_half_up(x: float) -> int:
-    return int(math.floor(x + 0.5))
-
-
 def sample_fewshot(
     corpus: Corpus,
     mode: str,
     target_domain: str | None = None,
     ratio: float = 0.01,
     seed: int = 0,
-    single_domain_only: bool = False,
 ) -> FewShotSplit:
     """Sample fine-tuning dialogues by a deterministic seeded shuffle.
 
     Eligible dialogues are those containing the target domain (cross-domain
     and cross-task modes) or the whole training set (multi-domain mode);
     cross-domain additionally keeps every non-target dialogue for pretraining.
-    ``single_domain_only`` restricts the target pool to dialogues annotated
-    with the target domain alone.
+    The fine-tune split takes ``ratio`` of the eligible pool, rounded half up;
+    a split of zero dialogues raises ProtocolError.
     """
     mode = _MODE_ALIASES.get(mode, mode)
     if mode not in MODES:
         raise ProtocolError(f"unknown mode {mode!r}")
     if not any(math.isclose(ratio, r) for r in RATIOS):
         raise ProtocolError(f"ratio {ratio} is not one of {RATIOS}")
+    train = corpus.train
     if mode == "multi_domain":
         if target_domain is not None:
             raise ProtocolError("multi_domain mode takes no target domain")
-        if single_domain_only:
-            raise ProtocolError("single_domain_only needs a target domain")
-    else:
-        if target_domain not in SUPPORTED_DOMAINS:
-            raise ProtocolError(f"target domain required, one of {SUPPORTED_DOMAINS}")
-
-    train = corpus.train
-    if mode == "multi_domain":
         eligible = list(train)
         pretrain_ids: list[str] = []
     else:
-        wanted = frozenset([target_domain])
-        eligible = [
-            d for d in train
-            if (d.domains == wanted if single_domain_only else target_domain in d.domains)
-        ]
+        if target_domain not in SUPPORTED_DOMAINS:
+            raise ProtocolError(f"target domain required, one of {SUPPORTED_DOMAINS}")
+        eligible = [d for d in train if target_domain in d.domains]
         pretrain_ids = (
             [d.dialogue_id for d in train if target_domain not in d.domains]
             if mode == "cross_domain"
             else []
         )
-    if not eligible:
-        raise ProtocolError(f"no eligible dialogues for {mode}/{target_domain}")
 
-    size = _round_half_up(ratio * len(eligible))
+    size = math.floor(ratio * len(eligible) + 0.5)  # round half up
+    if size == 0:  # an empty pool too
+        raise ProtocolError(
+            f"ratio {ratio} selects none of {len(eligible)} eligible dialogues"
+            f" for {target_domain or mode}"
+        )
     ids = [d.dialogue_id for d in eligible]
     random.Random(seed).shuffle(ids)
     return FewShotSplit(

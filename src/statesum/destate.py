@@ -15,7 +15,8 @@ import weakref
 from dataclasses import dataclass, field
 
 from .ontology import (
-    DONTCARE, DialogueState, DomainSpec, Ontology, SlotSpec, TemplateConfig, differing_slots
+    DONTCARE, DialogueState, DomainSpec, Ontology, SlotSpec, TemplateConfig, clean_value,
+    differing_slots,
 )
 from .summarize import CONJUNCTION, DONTCARE_MARKER, PLAIN_SUBJECT, SUBJECTS, UNNATURAL_PREFIX
 
@@ -26,10 +27,6 @@ class ParseResult:
 
     state: DialogueState = field(default_factory=dict)
     diagnostics: list[str] = field(default_factory=list)
-
-
-def _clean_value(text: str) -> str:
-    return " ".join(text.replace(",", "").replace(".", "").split())
 
 
 def _boundary_phrases() -> tuple[str, ...]:
@@ -139,7 +136,7 @@ class StateExtractor:
 
     def _cut_value(self, tail: str) -> str:
         m = self._terminators.search(tail)
-        return _clean_value(tail[: m.start()] if m else tail)
+        return clean_value(tail[: m.start()] if m else tail)
 
     def parse_domain_sentence(
         self,
@@ -189,7 +186,7 @@ class StateExtractor:
             self.pattern_applications += 1
             tail = fragment[idx + len(DONTCARE_MARKER):].split(".", 1)[0]
             for noun in tail.split(" and "):
-                noun = _clean_value(noun)
+                noun = clean_value(noun)
                 if not noun:
                     continue
                 slot_name = self._nouns[domain.domain_name].get(noun)
@@ -221,7 +218,7 @@ class StateExtractor:
             if not self.ontology.has_slot(slot_name):
                 result.diagnostics.append(f"unknown slot {slot_name!r}")
                 continue
-            result.state[slot_name] = _clean_value(value)
+            result.state[slot_name] = clean_value(value)
         return result
 
     def parse(self, summary: str, cfg: TemplateConfig = TemplateConfig()) -> ParseResult:

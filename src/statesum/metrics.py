@@ -11,7 +11,7 @@ import json
 import math
 from collections import Counter
 from collections.abc import Iterable
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from .corpus import Corpus, PredictionRecord, load_predictions, write_atomic
@@ -60,19 +60,10 @@ class Report:
     diagnostics: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "n_turns": self.n_turns,
-            "n_parses": self.n_parses,
-            "all_domain_jga": self.all_domain_jga,
-            "per_domain_jga": dict(self.per_domain_jga),
-            "slot_true_acc": self.slot_true_acc,
-            "slot_none_acc": self.slot_none_acc,
-            "bleu4": self.bleu4,
-            "rouge_n_f1": {str(n): v for n, v in self.rouge_n_f1.items()},
-            "error_counts": dict(self.error_counts),
-            "gold_summary_domain_order": self.gold_summary_domain_order,
-            "n_diagnostics": len(self.diagnostics),
-        }
+        report = asdict(self)
+        report["rouge_n_f1"] = {str(n): v for n, v in self.rouge_n_f1.items()}
+        report["n_diagnostics"] = len(report.pop("diagnostics"))
+        return report
 
     def save(self, path: str | Path) -> None:
         write_atomic(path, json.dumps(self.to_dict(), indent=2) + "\n")
@@ -397,7 +388,7 @@ def evaluate_run(
 
     extractor = StateExtractor(ontology)
     gold_cfg = replace(cfg, domain_order="canonical")
-    pairs, candidates, references = [], [], []
+    pairs, references = [], []
     error_counts = dict.fromkeys(ERROR_KINDS, 0)
     per_turn_diagnostics = []
     gold_state: DialogueState | None = None
@@ -405,9 +396,7 @@ def evaluate_run(
     for record in records:
         turn = turns[(record.dialogue_id, record.turn_index)]
         parsed = extractor.parse(record.predicted_summary, cfg)
-        record.predicted_state = parsed.state
         pairs.append((parsed.state, turn.state))
-        candidates.append(record.predicted_summary)
         # The render follows the state's slot order, so a reuse needs that order too.
         if turn.state != gold_state or list(turn.state) != list(gold_state):
             gold_state = turn.state
@@ -438,9 +427,9 @@ def evaluate_run(
     # record order: sum() rounds differently on Python 3.12+.
     bleu_counts = []
     rouge_sums = [0.0, 0.0, 0.0]
-    for candidate, reference in zip(candidates, references):
+    for record, reference in zip(records, references):
         cased, (cand_len, ref_len, overlaps) = _ngram_counts(
-            candidate, reference, _BLEU_ORDERS, True
+            record.predicted_summary, reference, _BLEU_ORDERS, True
         )
         bleu_counts.append(cased)
         for i, n in enumerate(_ROUGE_ORDERS):

@@ -44,6 +44,11 @@ def differing_slots(a: DialogueState, b: DialogueState) -> list[str]:
     return [s for s in a if s not in b or a[s] != b[s]] + [s for s in b if s not in a]
 
 
+def clean_value(text: str) -> str:
+    """The stored form of a value: no ',' or '.', and single spaces between words."""
+    return " ".join(text.replace(",", "").replace(".", "").split())
+
+
 def article_for(value: str) -> str:
     """Indefinite article for a value: "an" before a vowel, else "a"."""
     return "an" if value[:1].lower() in "aeiou" else "a"
@@ -231,24 +236,17 @@ def _build_ontology(doc: dict) -> Ontology:
     if not isinstance(raw_domains, dict):
         raise SchemaError("domains must be a mapping")
 
-    domains: dict[str, DomainSpec] = {}
-    seen_slots: set[str] = set()
-    for domain_name, raw in raw_domains.items():
-        spec = _parse_domain(str(domain_name), raw)
-        for slot in spec.slots:
-            if slot.slot_name in seen_slots:
-                raise SchemaError(f"duplicate slot {slot.slot_name!r}")
-            seen_slots.add(slot.slot_name)
-        domains[spec.domain_name] = spec
+    domains = {str(name): _parse_domain(str(name), raw) for name, raw in raw_domains.items()}
 
     raw_pools = doc.get("value_pools") or {}
     if not isinstance(raw_pools, dict) or not all(isinstance(vs, list) for vs in raw_pools.values()):
         raise SchemaError("value_pools must map slot names to lists")
     pools = {str(k): [str(v) for v in vs] for k, vs in raw_pools.items()}
+    ontology = Ontology(domains=domains, value_pools=pools)
     for slot_name in pools:
-        if not any(slot_name in {s.slot_name for s in d.slots} for d in domains.values()):
+        if not ontology.has_slot(slot_name):
             raise SchemaError(f"value pool for unknown slot {slot_name!r}")
-    return Ontology(domains=domains, value_pools=pools)
+    return ontology
 
 
 class _StrictLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):

@@ -55,12 +55,9 @@ def render_slot_phrase(spec: SlotSpec, value: str) -> str:
         if value == "no":
             return spec.phrase_no
         raise ValueError(f"{spec.slot_name}: boolean slot takes yes/no, got {value!r}")
-    fields = {"v": value}
-    if "{a}" in spec.phrase_template:
-        fields["a"] = article_for(value)
-    if "{unit}" in spec.phrase_template:
-        fields["unit"] = spec.unit_singular if value == "1" else spec.unit_plural
-    return spec.phrase_template.format(**fields)
+    return spec.phrase_template.format(
+        v=value, a=article_for(value), unit=spec.unit_singular if value == "1" else spec.unit_plural
+    )
 
 
 def render_domain_sentence(
@@ -163,10 +160,7 @@ def state_to_summary(
         render_domain_sentence(ontology.domains[name], groups[name], cfg, position)
         for position, name in enumerate(order)
     ]
-    summary = sentences[0]
-    for sentence in sentences[1:]:
-        summary += f" {CONJUNCTION} {sentence}"
-    return summary
+    return f" {CONJUNCTION} ".join(sentences)
 
 
 def _spans_domains(state: DialogueState, ontology: Ontology) -> bool:

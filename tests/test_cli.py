@@ -150,6 +150,26 @@ def test_fuzz_ok(monkeypatch, capsys):
     assert "50/50 round-trips ok" in out
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_fuzz_without_trials_is_usage_error(monkeypatch, capsys, trials):
+    code, out, err = _run(["fuzz", "--trials", trials], monkeypatch, capsys)
+    assert code == 1
+    assert out == ""
+    assert "--trials must be at least 1" in err
+
+
+def test_export_of_an_empty_split_exits_2_without_output(monkeypatch, capsys, tmp_path):
+    labels = tmp_path / "labels.jsonl"
+    code, out, err = _run(
+        ["export", "--corpus", str(FIXTURE_CORPUS), "--mode", "md",
+         "--ratio", "0.01", "--seed", "11", "--out", str(labels)],
+        monkeypatch, capsys,
+    )
+    assert code == 2
+    assert "ratio 0.01 selects none of 7 eligible" in err
+    assert not labels.exists() and list(tmp_path.iterdir()) == []
+
+
 def test_fuzz_failure_names_slot_and_terminator(monkeypatch, capsys, tmp_path):
     doc = yaml.safe_load(resources.files("statesum.data").joinpath("multiwoz_en.yaml").read_text())
     doc["value_pools"]["restaurant-name"] = ["milk and honey"]

@@ -403,15 +403,16 @@ def test_cross_task_has_no_pretrain():
     assert len(split.finetune_ids) == 50
 
 
-def test_single_domain_only_filter(mini_corpus):
+def test_cross_task_full_ratio_takes_every_dialogue_with_the_domain(mini_corpus):
     full = sample_fewshot(mini_corpus, "ct", "restaurant", ratio=1.0, seed=11)
     assert len(full.finetune_ids) == 3
-    narrowed = sample_fewshot(
-        mini_corpus, "ct", "restaurant", ratio=1.0, seed=11, single_domain_only=True
-    )
-    assert sorted(narrowed.finetune_ids) == ["SNG0004.json", "SNG0007.json"]
-    with pytest.raises(ProtocolError):
-        sample_fewshot(mini_corpus, "md", ratio=1.0, seed=11, single_domain_only=True)
+
+
+@pytest.mark.parametrize("mode, domain", [("md", None), ("ct", "restaurant"), ("cd", "hotel")])
+def test_a_ratio_that_selects_no_dialogue_is_rejected(mini_corpus, mode, domain):
+    # 1% of the mini corpus's pools rounds to zero dialogues.
+    with pytest.raises(ProtocolError, match=r"ratio 0\.01 selects none of \d+ eligible"):
+        sample_fewshot(mini_corpus, mode, domain, ratio=0.01, seed=11)
 
 
 def test_multi_domain_full_ratio_takes_everything(mini_corpus):
