@@ -15,7 +15,7 @@ import random
 import sys
 
 from . import __version__
-from .corpus import RATIOS, export_training_file, load_multiwoz, sample_fewshot, write_atomic
+from .corpus import MODES, RATIOS, export_training_file, load_multiwoz, sample_fewshot, write_atomic
 from .destate import parse_summary, reserved_collisions
 from .errors import StatesumError
 from .metrics import evaluate_run
@@ -39,16 +39,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_template_flags(parser):
+def _add_template_flags(parser, ordered: bool):
     parser.add_argument("--unnatural", action="store_true",
                         help="use the flat '{value} as {slot} of {domain}' format")
     parser.add_argument("--no-paraphrase", action="store_true",
                         help="repeat the same sentence subject instead of paraphrasing")
     parser.add_argument("--no-dontcare-concat", action="store_true",
                         help="emit dontcare as a separate sentence")
-    parser.add_argument("--order", choices=["canonical", "shuffled"], default="canonical",
-                        help="domain sentence order (default: canonical)")
-    parser.add_argument("--seed", type=int, default=0, help="seed for any shuffling")
+    if ordered:  # parse and eval read no order: gold summaries render in canonical order
+        parser.add_argument("--order", choices=["canonical", "shuffled"], default="canonical",
+                            help="domain sentence order (default: canonical)")
+        parser.add_argument("--seed", type=int, default=0, help="seed for any shuffling")
 
 
 def _config_from(args) -> TemplateConfig:
@@ -56,20 +57,28 @@ def _config_from(args) -> TemplateConfig:
         naturalness=not args.unnatural,
         paraphrasing=not args.no_paraphrase,
         dontcare_concat=not args.no_dontcare_concat,
-        domain_order=args.order,
+        domain_order=getattr(args, "order", "canonical"),
     )
 
 
 def _add_corpus_flags(parser):
     parser.add_argument("--corpus", help=f"corpus directory or zip (default: ${DATA_DIR_ENV})")
-    parser.add_argument("--version", choices=["2.0", "2.1"], default="2.1")
 
 
 def _corpus_from(args):
     path = args.corpus or os.environ.get(DATA_DIR_ENV)
     if not path:
         raise UsageError(f"--corpus is required (or set ${DATA_DIR_ENV})")
-    return load_multiwoz(path, args.version)
+    return load_multiwoz(path)
+
+
+def _split_from(args):
+    """The corpus and its few-shot split; a wrong mode/domain pair fails before the load."""
+    if (args.mode == "md") != (args.domain is None):
+        need = "takes no" if args.mode == "md" else "needs a"
+        raise UsageError(f"--mode {args.mode} {need} --domain")
+    corpus = _corpus_from(args)
+    return corpus, sample_fewshot(corpus, args.mode, args.domain, args.ratio, args.seed)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,14 +88,14 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     synth = commands.add_parser("synth", help="state JSON on stdin -> summary JSON on stdout")
-    _add_template_flags(synth)
+    _add_template_flags(synth, ordered=True)
 
     parse = commands.add_parser("parse", help="summary JSON on stdin -> state JSON on stdout")
-    _add_template_flags(parse)
+    _add_template_flags(parse, ordered=False)
 
     sample = commands.add_parser("sample", help="print a few-shot split manifest")
     _add_corpus_flags(sample)
-    sample.add_argument("--mode", choices=["cd", "ct", "md"], required=True)
+    sample.add_argument("--mode", choices=MODES, required=True)
     sample.add_argument("--domain", help="target domain (cd/ct modes)")
     sample.add_argument("--ratio", type=float, choices=RATIOS, required=True)
     sample.add_argument("--seed", type=int, required=True)
@@ -94,23 +103,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     export = commands.add_parser("export", help="write the training-label JSONL for a split")
     _add_corpus_flags(export)
-    export.add_argument("--mode", choices=["cd", "ct", "md"], required=True)
+    export.add_argument("--mode", choices=MODES, required=True)
     export.add_argument("--domain")
     export.add_argument("--ratio", type=float, choices=RATIOS, required=True)
-    _add_template_flags(export)
+    _add_template_flags(export, ordered=True)
     export.add_argument("--out", required=True)
 
     evaluate = commands.add_parser("eval", help="score a prediction file and write a report")
     _add_corpus_flags(evaluate)
     evaluate.add_argument("--predictions", required=True)
-    _add_template_flags(evaluate)
+    _add_template_flags(evaluate, ordered=False)
     evaluate.add_argument("--out", required=True)
     evaluate.add_argument("--diagnostics", help="optional per-turn diagnostics JSONL")
 
     fuzz = commands.add_parser("fuzz", help="run seeded round-trip trials")
     fuzz.add_argument("--trials", type=int, default=10000)
     fuzz.add_argument("--seed", type=int, default=0)
-    fuzz.add_argument("--max-domains", type=int, default=5)
+    fuzz.add_argument("--max-domains", type=int, help="default: every schema domain")
     fuzz.add_argument("--all-configs", action="store_true",
                       help="rotate through every natural template variant")
     return parser
@@ -140,8 +149,7 @@ def _cmd_parse(args, ontology) -> int:
 
 
 def _cmd_sample(args, ontology) -> int:
-    corpus = _corpus_from(args)
-    split = sample_fewshot(corpus, args.mode, args.domain, args.ratio, args.seed)
+    _, split = _split_from(args)
     manifest = json.dumps(split.to_dict(), indent=2) + "\n"
     if args.out:
         write_atomic(args.out, manifest)
@@ -151,8 +159,7 @@ def _cmd_sample(args, ontology) -> int:
 
 
 def _cmd_export(args, ontology) -> int:
-    corpus = _corpus_from(args)
-    split = sample_fewshot(corpus, args.mode, args.domain, args.ratio, args.seed)
+    corpus, split = _split_from(args)
     diagnostics: list[str] = []
     written = export_training_file(
         split, corpus, ontology, _config_from(args), args.out, diagnostics
@@ -177,6 +184,8 @@ def _cmd_eval(args, ontology) -> int:
 def _cmd_fuzz(args, ontology) -> int:
     if args.trials < 1:
         raise UsageError(f"--trials must be at least 1, got {args.trials}")
+    if args.max_domains is not None and not 1 <= args.max_domains <= len(ontology.domains):
+        raise UsageError(f"--max-domains must be in 1..{len(ontology.domains)}")
     configs = [TemplateConfig()]
     if args.all_configs:
         configs = [

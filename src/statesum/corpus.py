@@ -1,7 +1,7 @@
 """Corpus ingestion, few-shot split sampling, and label/prediction file I/O.
 
-The loader reads the raw multi-domain Wizard-of-Oz archives (versions 2.0 and
-2.1): a ``data.json`` with per-turn belief annotations plus the published
+The loader reads the raw multi-domain Wizard-of-Oz archives (2.0 and 2.1 load the
+same way): a ``data.json`` with per-turn belief annotations plus the published
 dev/test id lists. Only the five supported domains are kept; slot names are
 normalized to ``"<domain>-<slot>"`` and values to the converter's conventions.
 """
@@ -26,11 +26,8 @@ from .summarize import synthesize_labels
 
 log = logging.getLogger(__name__)
 
-SUPPORTED_VERSIONS = ("2.0", "2.1")
 RATIOS = (0.01, 0.05, 0.10, 1.00)
-MODES = ("cross_domain", "cross_task", "multi_domain")
-
-_MODE_ALIASES = {"cd": "cross_domain", "ct": "cross_task", "md": "multi_domain"}
+MODES = {"cd": "cross_domain", "ct": "cross_task", "md": "multi_domain"}
 
 _NONE_VALUES = {"", "none", "not mentioned", "not-mentioned"}
 _DONTCARE_VALUES = {
@@ -45,8 +42,6 @@ class Turn:
     """One user turn with the cumulative belief state after it."""
 
     index: int
-    user_utterance: str
-    system_utterance: str
     state: DialogueState
     history_text: str
 
@@ -60,7 +55,6 @@ class Dialogue:
 
 @dataclass
 class Corpus:
-    version: str
     splits: dict[str, list[Dialogue]]
     diagnostics: list[str] = field(default_factory=list)
 
@@ -210,8 +204,6 @@ def _build_dialogue(dialogue_id: str, raw: dict) -> Dialogue:
         turns.append(
             Turn(
                 index=index,
-                user_utterance=user["text"],
-                system_utterance=previous_system,
                 state=_state_from_metadata(metadata),
                 history_text="\n".join(history_lines),
             )
@@ -291,7 +283,7 @@ def _records(text: str, path: Path):
     raise CorpusError(f"{path}: data.json is not an object of dialogue records")
 
 
-def load_multiwoz(path: str | Path, version: str = "2.1") -> Corpus:
+def load_multiwoz(path: str | Path) -> Corpus:
     """Load a raw archive into per-split dialogues with normalized states.
 
     Dialogues annotated only with unsupported domains are dropped; malformed
@@ -301,8 +293,6 @@ def load_multiwoz(path: str | Path, version: str = "2.1") -> Corpus:
     repeated dialogue id keeps its first position and its last record, as in
     the dict ``json.loads`` builds.
     """
-    if version not in SUPPORTED_VERSIONS:
-        raise CorpusError(f"unsupported version {version!r}; expected one of {SUPPORTED_VERSIONS}")
     path = Path(path)
     if not path.exists():
         raise CorpusError(f"{path}: no such file or directory")
@@ -338,7 +328,7 @@ def load_multiwoz(path: str | Path, version: str = "2.1") -> Corpus:
         path, len(splits["train"]), len(splits["dev"]), len(splits["test"]),
         len(diagnostics),
     )
-    return Corpus(version=version, splits=splits, diagnostics=diagnostics)
+    return Corpus(splits=splits, diagnostics=diagnostics)
 
 
 def domain_counts(dialogues: list[Dialogue]) -> dict[str, tuple[int, int]]:
@@ -363,15 +353,16 @@ def sample_fewshot(
 ) -> FewShotSplit:
     """Sample fine-tuning dialogues by a deterministic seeded shuffle.
 
+    ``mode`` is ``cd``, ``ct`` or ``md``; the split records its long name.
     Eligible dialogues are those containing the target domain (cross-domain
     and cross-task modes) or the whole training set (multi-domain mode);
     cross-domain additionally keeps every non-target dialogue for pretraining.
     The fine-tune split takes ``ratio`` of the eligible pool, rounded half up;
     a split of zero dialogues raises ProtocolError.
     """
-    mode = _MODE_ALIASES.get(mode, mode)
     if mode not in MODES:
-        raise ProtocolError(f"unknown mode {mode!r}")
+        raise ProtocolError(f"unknown mode {mode!r}; expected one of {', '.join(MODES)}")
+    mode = MODES[mode]
     if not any(math.isclose(ratio, r) for r in RATIOS):
         raise ProtocolError(f"ratio {ratio} is not one of {RATIOS}")
     train = corpus.train

@@ -259,15 +259,6 @@ def parse_summary(
     return extractor_for(ontology).parse(summary, cfg)
 
 
-def summary_to_state(
-    summary: str,
-    ontology: Ontology,
-    cfg: TemplateConfig = TemplateConfig(),
-) -> DialogueState:
-    """Extracted state only; use parse_summary for diagnostics as well."""
-    return parse_summary(summary, ontology, cfg).state
-
-
 def reserved_collisions(
     state: DialogueState,
     ontology: Ontology,

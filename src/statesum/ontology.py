@@ -325,13 +325,16 @@ def validate_state(ontology: Ontology, state) -> list[str]:
 def random_state(
     ontology: Ontology,
     seed: int,
-    max_domains: int = 5,
+    max_domains: int | None = None,
 ) -> DialogueState:
     """Deterministically generate a valid state for fuzzing round trips.
 
+    Up to ``max_domains`` domains (default: all of the schema's) are chosen.
     Each selected slot gets DONTCARE with probability 0.1, otherwise a value
     drawn from the schema's value pools.
     """
+    if max_domains is None:
+        max_domains = len(ontology.domains)
     if not 1 <= max_domains <= len(ontology.domains):
         raise GenerationError(f"max_domains must be in 1..{len(ontology.domains)}")
     pools = ontology.value_pools

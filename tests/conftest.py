@@ -30,4 +30,4 @@ def ont():
 
 @pytest.fixture(scope="session")
 def mini_corpus():
-    return load_multiwoz(FIXTURE_CORPUS, version="2.1")
+    return load_multiwoz(FIXTURE_CORPUS)

@@ -57,7 +57,7 @@ def _verdict(number, name, elapsed):
 
 @pytest.fixture(scope="module")
 def real_corpus():
-    return load_multiwoz(DATA_DIR, version="2.1")
+    return load_multiwoz(DATA_DIR)
 
 
 def test_criterion1_golden_templates(ont):
@@ -281,8 +281,7 @@ def test_criterion8_single_pass_scoring(ont, tmp_path):
         turns = []
         for t in range(10):
             state = random_state(ont, seed=d * 10 + t)
-            turns.append(Turn(index=t, user_utterance="", system_utterance="",
-                              state=state, history_text=""))
+            turns.append(Turn(index=t, state=state, history_text=""))
             rows.append({
                 "dialogue_id": f"GEN{d:04d}.json",
                 "turn_index": t,
@@ -291,7 +290,7 @@ def test_criterion8_single_pass_scoring(ont, tmp_path):
         dialogues.append(
             Dialogue(dialogue_id=f"GEN{d:04d}.json", turns=turns, domains=frozenset())
         )
-    corpus = Corpus(version="2.1", splits={"train": [], "dev": [], "test": dialogues})
+    corpus = Corpus(splits={"train": [], "dev": [], "test": dialogues})
     predictions = tmp_path / "preds.jsonl"
     with open(predictions, "w", encoding="utf-8") as handle:
         for row in rows:

@@ -158,6 +158,58 @@ def test_fuzz_without_trials_is_usage_error(monkeypatch, capsys, trials):
     assert "--trials must be at least 1" in err
 
 
+@pytest.mark.parametrize("max_domains", ["0", "6"])
+def test_fuzz_max_domains_out_of_range_is_usage_error(monkeypatch, capsys, max_domains):
+    code, out, err = _run(["fuzz", "--trials", "3", "--max-domains", max_domains], monkeypatch, capsys)
+    assert code == 1
+    assert out == ""
+    assert "--max-domains must be in 1..5" in err
+
+
+def test_fuzz_defaults_to_every_domain_of_a_two_domain_schema(monkeypatch, capsys, tmp_path):
+    doc = yaml.safe_load(resources.files("statesum.data").joinpath("multiwoz_en.yaml").read_text())
+    kept = ("attraction", "hotel")
+    doc["domains"] = {name: doc["domains"][name] for name in kept}
+    doc["value_pools"] = {k: v for k, v in doc["value_pools"].items() if k.startswith(kept)}
+    schema = tmp_path / "two.yaml"
+    schema.write_text(yaml.safe_dump(doc, sort_keys=False))
+    code, out, err = _run(["--ontology", str(schema), "fuzz", "--trials", "20"], monkeypatch, capsys)
+    assert code == 0, err
+    assert "20/20 round-trips ok" in out
+
+
+@pytest.mark.parametrize("command", ["sample", "export"])
+@pytest.mark.parametrize("mode, domain", [("md", "hotel"), ("ct", None), ("cd", None)])
+def test_wrong_mode_domain_pair_is_usage_error_before_the_load(
+    monkeypatch, capsys, tmp_path, command, mode, domain
+):
+    # The corpus path does not exist, so only a check made before the load exits 1.
+    labels = tmp_path / "labels.jsonl"
+    code, out, err = _run(
+        [command, "--corpus", str(tmp_path / "nowhere"), "--mode", mode,
+         *(["--domain", domain] if domain else []), "--ratio", "1.0", "--seed", "11",
+         *(["--out", str(labels)] if command == "export" else [])],
+        monkeypatch, capsys,
+    )
+    assert code == 1
+    assert out == ""
+    assert f"--mode {mode}" in err and "--domain" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["parse", "eval"])
+@pytest.mark.parametrize("flag", [["--order", "shuffled"], ["--seed", "3"]])
+def test_parse_and_eval_take_no_order_or_seed(monkeypatch, capsys, tmp_path, command, flag):
+    argv = [command, *flag]
+    if command == "eval":
+        argv += ["--corpus", str(FIXTURE_CORPUS), "--predictions", str(tmp_path / "p.jsonl"),
+                 "--out", str(tmp_path / "r.json")]
+    code, out, err = _run(argv, monkeypatch, capsys, stdin=json.dumps({"summary": ""}))
+    assert code == 1
+    assert out == ""
+    assert f"unrecognized arguments: {' '.join(flag)}" in err
+
+
 def test_export_of_an_empty_split_exits_2_without_output(monkeypatch, capsys, tmp_path):
     labels = tmp_path / "labels.jsonl"
     code, out, err = _run(

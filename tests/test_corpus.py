@@ -43,7 +43,7 @@ def synthetic_corpus(counts: dict[str, int]) -> Corpus:
                     domains=frozenset([domain]),
                 )
             )
-    return Corpus(version="2.1", splits={"train": dialogues, "dev": [], "test": []})
+    return Corpus(splits={"train": dialogues, "dev": [], "test": []})
 
 
 # -- loading -------------------------------------------------------------------
@@ -168,9 +168,8 @@ def test_history_format(mini_corpus):
     lines = turn.history_text.splitlines()
     assert lines[0] == "system: "
     assert lines[1].startswith("user: ")
-    assert lines[2].startswith("system: ")
+    assert lines[2] == "system: plenty of options, any area?"
     assert len(lines) == 4
-    assert turn.system_utterance == "plenty of options, any area?"
 
 
 def test_zip_archive_loading(tmp_path):
@@ -186,11 +185,6 @@ def test_missing_file_is_an_error(tmp_path):
     (tmp_path / "data.json").write_text("{}")
     with pytest.raises(CorpusError, match="missing"):
         load_multiwoz(tmp_path)
-
-
-def test_unknown_version_rejected():
-    with pytest.raises(CorpusError, match="version"):
-        load_multiwoz(FIXTURE_CORPUS, version="2.4")
 
 
 def test_nonexistent_path_rejected(tmp_path):
@@ -431,6 +425,8 @@ def test_protocol_violations(mini_corpus):
         sample_fewshot(mini_corpus, "md", "hotel", ratio=0.01, seed=11)
     with pytest.raises(ProtocolError, match="mode"):
         sample_fewshot(mini_corpus, "zz", "hotel", ratio=0.01, seed=11)
+    with pytest.raises(ProtocolError, match="mode"):  # the manifest name is not a mode spelling
+        sample_fewshot(mini_corpus, "cross_task", "hotel", ratio=0.01, seed=11)
     empty = synthetic_corpus({"hotel": 10})
     with pytest.raises(ProtocolError, match="eligible"):
         sample_fewshot(empty, "ct", "taxi", ratio=0.01, seed=11)
@@ -589,14 +585,13 @@ def test_export_closure_at_scale(ont, tmp_path):
     dialogues = []
     for d in range(1500):
         turns = [
-            Turn(index=t, user_utterance="", system_utterance="",
-                 state=random_state(ont, seed=d * 4 + t), history_text="")
+            Turn(index=t, state=random_state(ont, seed=d * 4 + t), history_text="")
             for t in range(4)
         ]
         dialogues.append(
             Dialogue(dialogue_id=f"GEN{d:05d}.json", turns=turns, domains=frozenset())
         )
-    corpus = Corpus(version="2.1", splits={"train": dialogues, "dev": [], "test": []})
+    corpus = Corpus(splits={"train": dialogues, "dev": [], "test": []})
     split = sample_fewshot(corpus, "md", ratio=1.0, seed=11)
     out = tmp_path / "labels.jsonl"
     cfg = TemplateConfig(domain_order="shuffled")

@@ -12,7 +12,6 @@ from statesum import (
     random_state,
     reserved_collisions,
     state_to_summary,
-    summary_to_state,
 )
 from statesum.destate import StateExtractor
 from statesum.summarize import CONJUNCTION, DONTCARE_MARKER, SUBJECTS
@@ -22,14 +21,14 @@ from conftest import collisions_of
 
 
 def test_inverse_of_attraction_golden(ont):
-    assert summary_to_state(gd.ATTRACTION_SUMMARY, ont) == gd.ATTRACTION_STATE
+    assert parse_summary(gd.ATTRACTION_SUMMARY, ont).state == gd.ATTRACTION_STATE
 
 
 def test_inverse_of_all_goldens(ont):
     for _, state, summary in gd.SINGLE_DOMAIN_GOLDENS:
-        assert summary_to_state(summary, ont) == state
-    assert summary_to_state(gd.MULTI_DOMAIN_SUMMARY, ont) == gd.MULTI_DOMAIN_STATE
-    assert summary_to_state(gd.DONTCARE_SUMMARY, ont) == gd.DONTCARE_STATE
+        assert parse_summary(summary, ont).state == state
+    assert parse_summary(gd.MULTI_DOMAIN_SUMMARY, ont).state == gd.MULTI_DOMAIN_STATE
+    assert parse_summary(gd.DONTCARE_SUMMARY, ont).state == gd.DONTCARE_STATE
 
 
 def test_empty_summary(ont):
@@ -76,7 +75,7 @@ def test_parse_domain_sentence_empty(ont):
 
 def test_parse_strips_commas_and_periods(ont):
     text = "The user is looking for a taxi to Incheon airport, which arrives by 12:30."
-    assert summary_to_state(text, ont) == {
+    assert parse_summary(text, ont).state == {
         "taxi-destination": "Incheon airport",
         "taxi-arriveby": "12:30",
     }
@@ -84,12 +83,12 @@ def test_parse_strips_commas_and_periods(ont):
 
 def test_boolean_probes(ont):
     text = "The user is looking for a place to stay, which has no parking and has internet."
-    assert summary_to_state(text, ont) == {"hotel-parking": "no", "hotel-internet": "yes"}
+    assert parse_summary(text, ont).state == {"hotel-parking": "no", "hotel-internet": "yes"}
 
 
 def test_article_adjustment_on_parse(ont):
     text = "The user is looking for a place to stay with an expensive price."
-    assert summary_to_state(text, ont) == {"hotel-pricerange": "expensive"}
+    assert parse_summary(text, ont).state == {"hotel-pricerange": "expensive"}
 
 
 def test_unknown_dontcare_noun_reported(ont):
@@ -114,13 +113,13 @@ def test_order_invariance(ont):
         "Also, he looks for a place to stay which is a guesthouse called Intercontinental "
         "ranked 3 stars."
     )
-    assert summary_to_state(reordered, ont) == gd.MULTI_DOMAIN_STATE
+    assert parse_summary(reordered, ont).state == gd.MULTI_DOMAIN_STATE
 
 
 def test_paraphrase_variant_invariance(ont):
     original = gd.MULTI_DOMAIN_SUMMARY
     swapped = original.replace("he is searching for", "he looks for", 1)
-    assert summary_to_state(swapped, ont) == gd.MULTI_DOMAIN_STATE
+    assert parse_summary(swapped, ont).state == gd.MULTI_DOMAIN_STATE
 
 
 def test_repeated_domain_fragment_reported(ont):
@@ -135,7 +134,7 @@ def test_repeated_domain_fragment_reported(ont):
 
 def test_unnatural_parse(ont):
     cfg = TemplateConfig(naturalness=False)
-    assert summary_to_state(gd.UNNATURAL_SUMMARY, ont, cfg) == gd.VARIANT_SAMPLE_STATE
+    assert parse_summary(gd.UNNATURAL_SUMMARY, ont, cfg).state == gd.VARIANT_SAMPLE_STATE
 
 
 def test_unnatural_parse_reports_junk(ont):
@@ -148,7 +147,7 @@ def test_unnatural_parse_reports_junk(ont):
 def test_unnatural_parse_value_with_of_and_as(ont):
     cfg = TemplateConfig(naturalness=False)
     text = "The user wants house of pizza as name of restaurant."
-    assert summary_to_state(text, ont, cfg) == {"restaurant-name": "house of pizza"}
+    assert parse_summary(text, ont, cfg).state == {"restaurant-name": "house of pizza"}
 
 
 def test_wrong_slot_style_summary_parses_cleanly(ont):
@@ -158,7 +157,7 @@ def test_wrong_slot_style_summary_parses_cleanly(ont):
         "The user is looking for a train for 2 people from bishops stortford "
         "to cambridge on thursday, which arrives by 18:30."
     )
-    state = summary_to_state(text, ont)
+    state = parse_summary(text, ont).state
     assert state["train-arriveby"] == "18:30"
     assert "train-leaveat" not in state
 
@@ -195,11 +194,12 @@ def test_reserved_collisions(ont):
     # Only phrases some template renders are reserved, so "during" is a plain word.
     state = {"attraction-name": "during the war"}
     assert collisions_of(state, ont) == []
-    assert summary_to_state(state_to_summary(state, ont), ont) == state
+    assert parse_summary(state_to_summary(state, ont), ont).state == state
     # Every count slot, hotel-stars included, takes integers only.
     issues = collisions_of({"hotel-stars": "three"}, ont)
     assert issues == ["hotel-stars: 'three' reads back as None"]
-    assert summary_to_state("The user is looking for a place to stay ranked three stars.", ont) == {}
+    text = "The user is looking for a place to stay ranked three stars."
+    assert parse_summary(text, ont).state == {}
     # A value ending in the first words of a phrase the render completes after it.
     assert collisions_of({"restaurant-book day": "bar leaves", "restaurant-book time": "12:00"}, ont)
     assert collisions_of({"train-day": "kambar Also", "train-arriveby": "12:00"}, ont)

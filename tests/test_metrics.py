@@ -14,11 +14,11 @@ from statesum import (
     classify_errors,
     evaluate_run,
     joint_goal_accuracy,
+    parse_summary,
     random_state,
     rouge_n_f1,
     slot_accuracy,
     state_to_summary,
-    summary_to_state,
 )
 from statesum import metrics
 from statesum.corpus import Corpus, Dialogue, Turn
@@ -459,14 +459,14 @@ def test_error_taxonomy_end_to_end_from_summaries(ont):
         ),
     ]
     for summary, gold, expected_kind, expected_slot in cases:
-        predicted = summary_to_state(summary, ont)
+        predicted = parse_summary(summary, ont).state
         records = classify_errors(predicted, gold, ont)
         assert any(
             r.kind == expected_kind and r.slot_name == expected_slot for r in records
         ), (summary, records)
     # The "arrives at" phrasing in the first case matches neither time
     # template, so that turn also loses its leave-at value.
-    first = summary_to_state(cases[0][0], ont)
+    first = parse_summary(cases[0][0], ont).state
     assert "train-leaveat" not in first and "train-arriveby" not in first
 
 
@@ -609,12 +609,12 @@ def test_evaluate_run_renders_gold_once_per_unchanged_state(ont, tmp_path, monke
     dialogues = [
         Dialogue(
             dialogue_id=name,
-            turns=[Turn(i, "", "", state, "") for (d, i), state in gold.items() if d == name],
+            turns=[Turn(i, state, "") for (d, i), state in gold.items() if d == name],
             domains=frozenset({"hotel", "train"}),
         )
         for name in ("A.json", "B.json")
     ]
-    corpus = Corpus(version="2.1", splits={"test": dialogues})
+    corpus = Corpus(splits={"test": dialogues})
     preds = tmp_path / "preds.jsonl"
     # Written in reverse: the reuse must follow evaluate_run's sorted order.
     _write_predictions(preds, [
@@ -668,7 +668,7 @@ def test_evaluate_run_text_scores_equal_public_functions_and_oracles(ont, turns)
         candidates.append(" ".join(tokens))
     dialogue = Dialogue(
         dialogue_id="H.json",
-        turns=[Turn(i, "", "", state, "") for i, state in enumerate(states)],
+        turns=[Turn(i, state, "") for i, state in enumerate(states)],
         domains=frozenset(ont.domains),
     )
     with tempfile.TemporaryDirectory() as tmp:
@@ -677,8 +677,8 @@ def test_evaluate_run_text_scores_equal_public_functions_and_oracles(ont, turns)
             {"dialogue_id": "H.json", "turn_index": i, "predicted_summary": candidate}
             for i, candidate in enumerate(candidates)
         ])
-        report = evaluate_run(preds, Corpus(version="2.1", splits={"test": [dialogue]}), ont)
-    pairs = [(summary_to_state(text, ont), state) for text, state in zip(candidates, states)]
+        report = evaluate_run(preds, Corpus(splits={"test": [dialogue]}), ont)
+    pairs = [(parse_summary(text, ont).state, state) for text, state in zip(candidates, states)]
     assert report.all_domain_jga == joint_goal_accuracy(pairs)
     assert report.per_domain_jga == {d: joint_goal_accuracy(pairs, d) for d in ont.domains}
     assert (report.slot_true_acc, report.slot_none_acc) == slot_accuracy(pairs, ont)

@@ -9,10 +9,10 @@ from statesum import (
     SchemaError,
     TemplateConfig,
     load_ontology,
+    parse_summary,
     random_state,
     render_slot_phrase,
     state_to_summary,
-    summary_to_state,
     validate_state,
 )
 
@@ -102,10 +102,11 @@ def test_custom_schema_round_trips(tmp_path):
         TemplateConfig(paraphrasing=p, dontcare_concat=c) for p in (True, False) for c in (True, False)
     ] + [TemplateConfig(naturalness=False)]
     for seed in range(300):
-        state = random_state(ont, seed=seed, max_domains=2)
+        state = random_state(ont, seed=seed)  # max_domains defaults to the schema's two
         assert collisions_of(state, ont) == []
         for cfg in configs:
-            assert summary_to_state(state_to_summary(state, ont, cfg), ont, cfg) == state, (seed, cfg)
+            summary = state_to_summary(state, ont, cfg)
+            assert parse_summary(summary, ont, cfg).state == state, (seed, cfg)
     issues = collisions_of({"attraction-name": "house near the river"}, ont)
     assert issues == [
         "attraction-name: 'house near the river' reads back as 'house' (cut at 'near the')",
