@@ -19,7 +19,7 @@ from .corpus import MODES, RATIOS, export_training_file, load_multiwoz, sample_f
 from .destate import parse_summary, reserved_collisions
 from .errors import StatesumError
 from .metrics import evaluate_run
-from .ontology import TemplateConfig, load_ontology, random_state
+from .ontology import DOMAIN_NAMES, TemplateConfig, load_ontology, random_state
 from .summarize import state_to_summary
 
 EXIT_OK = 0
@@ -96,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     sample = commands.add_parser("sample", help="print a few-shot split manifest")
     _add_corpus_flags(sample)
     sample.add_argument("--mode", choices=MODES, required=True)
-    sample.add_argument("--domain", help="target domain (cd/ct modes)")
+    sample.add_argument("--domain", choices=DOMAIN_NAMES, help="target domain (cd/ct modes)")
     sample.add_argument("--ratio", type=float, choices=RATIOS, required=True)
     sample.add_argument("--seed", type=int, required=True)
     sample.add_argument("--out", help="write the manifest here instead of stdout")
@@ -104,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     export = commands.add_parser("export", help="write the training-label JSONL for a split")
     _add_corpus_flags(export)
     export.add_argument("--mode", choices=MODES, required=True)
-    export.add_argument("--domain")
+    export.add_argument("--domain", choices=DOMAIN_NAMES)
     export.add_argument("--ratio", type=float, choices=RATIOS, required=True)
     _add_template_flags(export, ordered=True)
     export.add_argument("--out", required=True)

@@ -8,13 +8,14 @@ normalized to ``"<domain>-<slot>"`` and values to the converter's conventions.
 
 from __future__ import annotations
 
+import io
 import json
 import logging
 import math
 import os
 import random
 import zipfile
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -35,6 +36,7 @@ _DONTCARE_VALUES = {
     "doesnt care", "doesn't care",
 }
 _SLOT_ALIASES = {"leave at": "leaveat", "arrive by": "arriveby", "price range": "pricerange"}
+_CHUNK = 1 << 16  # characters of data.json read at a time
 
 
 @dataclass
@@ -213,26 +215,29 @@ def _build_dialogue(dialogue_id: str, raw: dict) -> Dialogue:
     )
 
 
-def _read_archive(path: Path) -> tuple[str, list[str], list[str]]:
-    """Return (``data.json`` text, dev ids, test ids) from a directory or zip archive."""
+@contextmanager
+def _open_archive(path: Path):
+    """Yield (a text handle on ``data.json``, dev ids, test ids) from a directory or zip archive."""
+    with ExitStack() as stack:
+        if path.is_dir():
+            names = {p.name: p for p in sorted(path.rglob("*")) if p.is_file()}
+            open_binary = lambda target: open(target, "rb")
+        elif zipfile.is_zipfile(path):
+            archive = stack.enter_context(zipfile.ZipFile(path))
+            names = {os.path.basename(n): n for n in archive.namelist() if os.path.basename(n)}
+            open_binary = archive.open
+        else:
+            raise CorpusError(f"{path}: not a corpus directory or zip archive")
+        required = {key: names[name] for key, name in _locate(names).items()}
 
-    def parse_list(text: str) -> list[str]:
-        return [line.strip() for line in text.splitlines() if line.strip()]
+        def id_list(key: str) -> list[str]:
+            with open_binary(required[key]) as raw:
+                lines = raw.read().decode("utf-8").splitlines()
+            return [line.strip() for line in lines if line.strip()]
 
-    def read_all(names, read) -> tuple[str, list[str], list[str]]:
-        """``read`` maps a located name to its bytes, for either layout."""
-        required = _locate(names)
-        data, dev, test = (read(required[key]).decode("utf-8") for key in ("data", "val", "test"))
-        return data, parse_list(dev), parse_list(test)
-
-    if path.is_dir():
-        files = {p.name: p for p in sorted(path.rglob("*")) if p.is_file()}
-        return read_all(files, lambda name: files[name].read_bytes())
-    if zipfile.is_zipfile(path):
-        with zipfile.ZipFile(path) as archive:
-            members = {os.path.basename(n): n for n in archive.namelist() if os.path.basename(n)}
-            return read_all(members, lambda name: archive.read(members[name]))
-    raise CorpusError(f"{path}: not a corpus directory or zip archive")
+        # newline="": json.loads error positions count the file's own characters.
+        with io.TextIOWrapper(open_binary(required["data"]), encoding="utf-8", newline="") as text:
+            yield text, id_list("val"), id_list("test")
 
 
 def _locate(names) -> dict[str, str]:
@@ -251,35 +256,60 @@ def _locate(names) -> dict[str, str]:
     return found
 
 
-def _records(text: str, path: Path):
-    """Yield the (dialogue id, raw record) pairs of the JSON object ``text`` in
-    file order, decoding one record at a time. Text that is not one well-formed
-    JSON object raises what ``json.loads`` raises, or CorpusError if it is
-    valid JSON of another type."""
-    decode, skip = json.JSONDecoder().raw_decode, json.decoder.WHITESPACE.match
+def _records(handle, path: Path):
+    """Yield the (dialogue id, raw record) pairs of the JSON object in the text ``handle``
+    in file order, reading ``_CHUNK`` characters and decoding one record at a time. Text
+    that is not one well-formed JSON object raises what ``json.loads`` raises on the whole
+    text, or CorpusError if it is valid JSON of another type."""
+    decode, white = json.JSONDecoder().raw_decode, json.decoder.WHITESPACE.match
+    text, pos, more = "", 0, True
+
+    def step(parse):
+        """Move ``pos`` past ``parse(text, pos) -> (value, end)`` and return the value. While
+        that fails or stops at the buffer's end, drop the consumed text, read a chunk (or as
+        much again as is kept, if longer: a step that keeps failing costs linear time), retry."""
+        nonlocal text, pos, more
+        while True:
+            try:
+                value, end = parse(text, pos)
+                if end < len(text) or not more:
+                    pos = end
+                    return value
+            except json.JSONDecodeError:
+                if not more:
+                    raise
+            chunk = handle.read(max(_CHUNK, len(text) - pos))
+            text, pos, more = text[pos:] + chunk, 0, bool(chunk)
+
+    def skip(offset=0) -> str:
+        """Move ``pos`` past ``offset`` characters and the whitespace after them;
+        return the next character, or "" at the end of the file."""
+        nonlocal pos
+        pos += offset
+        step(lambda text, start: (None, white(text, start).end()))
+        return text[pos:pos + 1]
+
     closed = False
     try:
-        pos = skip(text).end()
-        if text.startswith("{", pos):
-            pos = skip(text, pos + 1).end()
-            closed = text.startswith("}", pos)
+        if skip() == "{":
+            closed = skip(1) == "}"
             while not closed and text.startswith('"', pos):
-                key, pos = decode(text, pos)
-                pos = skip(text, pos).end()
-                if not text.startswith(":", pos):
+                key = step(decode)
+                if skip() != ":":
                     break
-                record, pos = decode(text, skip(text, pos + 1).end())
-                yield key, record
-                pos = skip(text, pos).end()
-                closed = text.startswith("}", pos)
-                if not text.startswith(",", pos):
+                skip(1)
+                yield key, step(decode)
+                after = skip()
+                closed = after == "}"
+                if after != ",":
                     break
-                pos = skip(text, pos + 1).end()
-        if closed and skip(text, pos + 1).end() == len(text):
+                skip(1)
+        if closed and skip(1) == "":
             return
     except json.JSONDecodeError:
         pass
-    json.loads(text)  # raises json's own error for malformed text
+    handle.seek(0)
+    json.loads(handle.read())  # raises json's own error for malformed text
     raise CorpusError(f"{path}: data.json is not an object of dialogue records")
 
 
@@ -288,21 +318,21 @@ def load_multiwoz(path: str | Path) -> Corpus:
 
     Dialogues annotated only with unsupported domains are dropped; malformed
     records are skipped and counted in the corpus diagnostics. ``data.json`` is
-    decoded one dialogue record at a time and each record is dropped once its
-    dialogue is built, so the parsed document is never alive as a whole. A
-    repeated dialogue id keeps its first position and its last record, as in
-    the dict ``json.loads`` builds.
+    read in 64 KiB chunks and decoded one dialogue record at a time, each record
+    dropped once its dialogue is built, so only one chunk of text, one raw record
+    and the growing corpus are alive. A repeated dialogue id keeps its first
+    position and its last record, as in the dict ``json.loads`` builds.
     """
     path = Path(path)
     if not path.exists():
         raise CorpusError(f"{path}: no such file or directory")
-    text, dev_ids, test_ids = _read_archive(path)
     built: dict[str, Dialogue | str] = {}  # a str is the diagnostic of a skipped record
-    for dialogue_id, raw in _records(text, path):
-        try:
-            built[dialogue_id] = _build_dialogue(dialogue_id, raw)
-        except CorpusError as exc:
-            built[dialogue_id] = f"{dialogue_id}: skipped ({exc})"
+    with _open_archive(path) as (handle, dev_ids, test_ids):
+        for dialogue_id, raw in _records(handle, path):
+            try:
+                built[dialogue_id] = _build_dialogue(dialogue_id, raw)
+            except CorpusError as exc:
+                built[dialogue_id] = f"{dialogue_id}: skipped ({exc})"
 
     diagnostics: list[str] = []
     splits: dict[str, list[Dialogue]] = {"train": [], "dev": [], "test": []}

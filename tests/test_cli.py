@@ -197,6 +197,21 @@ def test_wrong_mode_domain_pair_is_usage_error_before_the_load(
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["sample", "export"])
+def test_misspelt_domain_is_usage_error_before_the_load(monkeypatch, capsys, tmp_path, command):
+    # The corpus path does not exist, so only a check made before the load exits 1.
+    code, out, err = _run(
+        [command, "--corpus", str(tmp_path / "nowhere"), "--mode", "ct", "--domain", "hotell",
+         "--ratio", "1.0", "--seed", "11",
+         *(["--out", str(tmp_path / "labels.jsonl")] if command == "export" else [])],
+        monkeypatch, capsys,
+    )
+    assert code == 1
+    assert out == ""
+    assert "argument --domain: invalid choice: 'hotell'" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["parse", "eval"])
 @pytest.mark.parametrize("flag", [["--order", "shuffled"], ["--seed", "3"]])
 def test_parse_and_eval_take_no_order_or_seed(monkeypatch, capsys, tmp_path, command, flag):

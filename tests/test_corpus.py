@@ -25,6 +25,7 @@ from statesum.corpus import (
     _state_from_metadata,
     normalize_raw_value,
 )
+from statesum.cli import run
 from statesum.destate import parse_summary
 from statesum.summarize import synthesize_labels
 
@@ -258,13 +259,13 @@ def _object_text(pairs, separator=", ") -> str:
 
 
 def _write_archive(root, text, layout="dir"):
-    """An archive with ``text`` as data.json and the fixture's id lists."""
-    files = {"data.json": text.encode("utf-8")}
+    """An archive with ``text`` (str or bytes) as data.json and the fixture's id lists."""
+    files = {"data.json": text if isinstance(text, bytes) else text.encode("utf-8")}
     for name in ("valListFile.json", "testListFile.json"):
         files[name] = (FIXTURE_CORPUS / name).read_bytes()
     if layout == "zip":
         archive = root / "corpus.zip"
-        with zipfile.ZipFile(archive, "w") as zf:
+        with zipfile.ZipFile(archive, "w", zipfile.ZIP_DEFLATED) as zf:
             for name, data in files.items():
                 zf.writestr(f"MULTIWOZ2.1/{name}", data)
         return archive
@@ -282,24 +283,33 @@ def test_empty_object_loads_an_empty_corpus(tmp_path, text):
     assert corpus.diagnostics == []
 
 
-def test_whitespace_around_records_is_accepted(mini_corpus, tmp_path):
+def _whitespace_text() -> str:
+    """The fixture records with JSON whitespace of every kind around each token."""
     members = ",\n\t".join(
         f" {json.dumps(k)} \r\n:\n{json.dumps(v, indent=1)} "
         for k, v in _fixture_records().items()
     )
-    text = "\n \t\r\n{\n" + members + "\n}\n\n "
-    assert load_multiwoz(_write_archive(tmp_path, text)) == mini_corpus
+    return "\n \t\r\n{\n" + members + "\n}\n\n "
 
 
-def test_repeated_id_keeps_first_position_and_last_record(tmp_path):
+def _repeated_id_text() -> str:
+    """The fixture records with ids 0, 2 and 3 repeated, ids 0 and 2 once as bad records."""
     records = _fixture_records()
     ids = list(records)
     bad = {"goal": {}, "log": []}
-    pairs = [
+    return _object_text([
         (ids[0], bad), *((i, records[i]) for i in ids[1:5]), (ids[0], records[ids[0]]),
         (ids[2], bad), *((i, records[i]) for i in ids[5:]), (ids[3], records[ids[1]]),
-    ]
-    text = _object_text(pairs)
+    ])
+
+
+def test_whitespace_around_records_is_accepted(mini_corpus, tmp_path):
+    assert load_multiwoz(_write_archive(tmp_path, _whitespace_text())) == mini_corpus
+
+
+def test_repeated_id_keeps_first_position_and_last_record(tmp_path):
+    ids = list(_fixture_records())
+    text = _repeated_id_text()
     corpus = load_multiwoz(_write_archive(tmp_path, text))
     reference = load_multiwoz(_write_archive(tmp_path / "ref", json.dumps(json.loads(text))))
     assert corpus == reference
@@ -324,6 +334,7 @@ _MALFORMED_TEXTS = {
     "semicolon-for-comma": '{"A.json": {}; "B.json": {}}',
     "non-string-key": "{1: {}}",
     "unclosed": "{",
+    "crlf-extra-data": _object_text(_RECORD_PAIRS, separator=",\r\n") + "\r\n{}",
 }
 
 
@@ -343,13 +354,95 @@ def test_malformed_data_file_raises_what_json_loads_raises(tmp_path, case, layou
     assert (type(info.value), str(info.value)) == expected
 
 
-def test_load_peak_memory_is_at_most_three_times_the_file(tmp_path):
-    # A whole parsed data.json is about 7 times its text; decoded one record
-    # at a time, only the text, one record and the corpus are alive.
+# From near the start of data.json, past char 4096 and byte 8192 (TextIOWrapper's read size).
+_MULTIBYTE_TEXT = "café € 😀 " * 600
+
+
+def _multibyte_text() -> str:
+    """The fixture records, the first user turn of the first one holding _MULTIBYTE_TEXT."""
+    (dialogue_id, record), *rest = _fixture_records().items()
+    log = [{**record["log"][0], "text": "MULTIBYTE"}, *record["log"][1:]]
+    # Written raw, not as the \\u escapes json.dumps makes of it.
+    text = _object_text([(dialogue_id, {**record, "log": log}), *rest]).replace(
+        '"MULTIBYTE"', f'"{_MULTIBYTE_TEXT}"')
+    start = text.index(_MULTIBYTE_TEXT)
+    assert start < 4096 < start + len(_MULTIBYTE_TEXT)
+    end = start + len(_MULTIBYTE_TEXT)
+    assert len(text[:start].encode("utf-8")) < 8192 < len(text[:end].encode("utf-8"))
+    return text
+
+
+def _outcome(path):
+    """The loaded corpus, or the type and message of what the load raised."""
+    try:
+        return load_multiwoz(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+_CHUNKED_TEXTS = {
+    "mini": (FIXTURE_CORPUS / "data.json").read_text(encoding="utf-8"),
+    "whitespace": _whitespace_text(),
+    "repeated-id": _repeated_id_text(),
+    "multibyte": _multibyte_text(),
+    **{f"malformed-{case}": text for case, text in _MALFORMED_TEXTS.items()},
+}
+
+
+@pytest.mark.parametrize("layout", ["dir", "zip"])
+@pytest.mark.parametrize("chunk", [1, 7, 4096])
+@pytest.mark.parametrize("case", list(_CHUNKED_TEXTS))
+def test_chunk_boundaries_change_no_result(tmp_path, monkeypatch, case, chunk, layout):
+    path = _write_archive(tmp_path, _CHUNKED_TEXTS[case], layout)
+    expected = _outcome(path)
+    monkeypatch.setattr(corpus_module, "_CHUNK", chunk)
+    assert _outcome(path) == expected
+    if case == "multibyte":
+        dialogue_id = next(iter(_fixture_records()))
+        history = load_multiwoz(path).dialogue_map()[dialogue_id].turns[0].history_text
+        assert history == f"system: \nuser: {_MULTIBYTE_TEXT}"
+
+
+def _invalid_utf8_archive(root, layout):
+    """Eight copies of the fixture records with one byte 0xff in the last user text,
+    past the first chunk of data.json."""
     records = _fixture_records()
-    data = {f"COPY{copy:03d}-{k}": v for copy in range(100) for k, v in records.items()}
-    path = _write_archive(tmp_path, json.dumps(data))
-    size = (path / "data.json").stat().st_size
+    text = json.dumps({f"COPY{c}-{k}": v for c in range(8) for k, v in records.items()})
+    cut = text.rindex('"text": "') + len('"text": "')
+    head, tail = text[:cut].encode("utf-8"), text[cut:].encode("utf-8")
+    assert len(head) > corpus_module._CHUNK
+    return _write_archive(root, head + b"\xff" + tail, layout)
+
+
+@pytest.mark.parametrize("layout", ["dir", "zip"])
+def test_invalid_utf8_past_the_first_chunk_raises(tmp_path, layout):
+    with pytest.raises(UnicodeDecodeError, match="can't decode byte 0xff"):
+        load_multiwoz(_invalid_utf8_archive(tmp_path, layout))
+
+
+@pytest.mark.parametrize("layout", ["dir", "zip"])
+def test_export_of_invalid_utf8_exits_2_without_output(tmp_path, capsys, layout):
+    (tmp_path / "in").mkdir()
+    path = _invalid_utf8_archive(tmp_path / "in", layout)
+    labels = tmp_path / "labels.jsonl"
+    code = run(["export", "--corpus", str(path), "--mode", "md", "--ratio", "1.0",
+                "--seed", "11", "--out", str(labels)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+    assert "Traceback" not in captured.err
+    assert list(tmp_path.iterdir()) == [tmp_path / "in"]
+
+
+@pytest.mark.parametrize("layout", ["dir", "zip"])
+def test_load_peak_memory_is_at_most_one_and_a_half_times_the_file(tmp_path, layout):
+    # A whole parsed data.json is about 7 times its text; read one chunk and
+    # decoded one record at a time, only a chunk, one record and the corpus are alive.
+    records = _fixture_records()
+    text = json.dumps({f"COPY{copy:03d}-{k}": v for copy in range(100) for k, v in records.items()})
+    path = _write_archive(tmp_path, text, layout)
+    size = len(text.encode("utf-8"))
     assert size >= 2_000_000
     tracemalloc.start()
     try:
@@ -358,7 +451,7 @@ def test_load_peak_memory_is_at_most_three_times_the_file(tmp_path):
     finally:
         tracemalloc.stop()
     assert len(corpus.train) == 100 * 9
-    assert peak <= 3 * size, f"peak {peak / size:.1f}x the file size"
+    assert peak <= 1.5 * size, f"peak {peak / size:.2f}x the file size"
 
 
 # -- few-shot sampling -----------------------------------------------------------
