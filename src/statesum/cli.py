@@ -39,11 +39,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_template_flags(parser, ordered: bool):
+def _add_template_flags(parser, ordered: bool, rendered: bool = True):
     parser.add_argument("--unnatural", action="store_true",
                         help="use the flat '{value} as {slot} of {domain}' format")
-    parser.add_argument("--no-paraphrase", action="store_true",
-                        help="repeat the same sentence subject instead of paraphrasing")
+    if rendered:  # parse renders nothing, and the parser reads every subject
+        parser.add_argument("--no-paraphrase", action="store_true",
+                            help="repeat the same sentence subject instead of paraphrasing")
     parser.add_argument("--no-dontcare-concat", action="store_true",
                         help="emit dontcare as a separate sentence")
     if ordered:  # parse and eval read no order: gold summaries render in canonical order
@@ -55,7 +56,7 @@ def _add_template_flags(parser, ordered: bool):
 def _config_from(args) -> TemplateConfig:
     return TemplateConfig(
         naturalness=not args.unnatural,
-        paraphrasing=not args.no_paraphrase,
+        paraphrasing=not getattr(args, "no_paraphrase", False),
         dontcare_concat=not args.no_dontcare_concat,
         domain_order=getattr(args, "order", "canonical"),
     )
@@ -91,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_template_flags(synth, ordered=True)
 
     parse = commands.add_parser("parse", help="summary JSON on stdin -> state JSON on stdout")
-    _add_template_flags(parse, ordered=False)
+    _add_template_flags(parse, ordered=False, rendered=False)
 
     sample = commands.add_parser("sample", help="print a few-shot split manifest")
     _add_corpus_flags(sample)

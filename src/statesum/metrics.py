@@ -296,14 +296,6 @@ def rouge_n_f1(candidate: str, reference: str, n: int) -> float:
 # -- error taxonomy -------------------------------------------------------------
 
 
-def _slot_order(ontology: Ontology, slot_name: str) -> tuple[int, int]:
-    try:
-        spec = ontology.slot(slot_name)
-    except KeyError:
-        return (len(ontology.domains), 0)
-    return (list(ontology.domains).index(spec.domain), spec.canonical_position)
-
-
 def classify_errors(
     predicted: DialogueState,
     gold: DialogueState,
@@ -317,7 +309,7 @@ def classify_errors(
     record. A slot present on both sides with different values counts as a
     hallucinated value. Every differing slot lands in exactly one record.
     """
-    diff = sorted(differing_slots(predicted, gold), key=lambda s: _slot_order(ontology, s))
+    diff = sorted(differing_slots(predicted, gold), key=ontology.slot_rank)
     pred_only = [s for s in diff if s not in gold]
     gold_only = [s for s in diff if s not in predicted]
     value_conflicts = [s for s in diff if s in predicted and s in gold]
@@ -364,13 +356,13 @@ def evaluate_run(
     function of the same name, over the (predicted, gold) state pairs or the
     predicted and gold summaries in (dialogue_id, turn_index) order;
     ``rouge_n_f1`` is the per-turn mean, and ``error_counts`` tallies
-    ``classify_errors``. One ordered diff per state pair (``differing_slots``)
-    feeds JGA, per-domain JGA, slot accuracy and the error tallies. Each
-    summary pair is split and counted once for orders 1-4, and ROUGE-1/2/4
-    reuse BLEU's cased counts; the pair is lowercased and counted again only
-    when a text is not ASCII or lowering merges two tokens of the windows
-    where the texts differ. A gold state the schema rejects raises
-    ``EvaluationError`` naming its turn.
+    ``classify_errors``. JGA, per-domain JGA and slot accuracy come from one
+    ``differing_slots`` per state pair; ``classify_errors`` diffs the pair
+    again for the error tallies. Each summary pair is split and counted once
+    for orders 1-4, and ROUGE-1/2/4 reuse BLEU's cased counts; the pair is
+    lowercased and counted again only when a text is not ASCII or lowering
+    merges two tokens of the windows where the texts differ. A gold state the
+    schema rejects raises ``EvaluationError`` naming its turn.
     """
     diagnostics: list[str] = []
     records: list[PredictionRecord] = load_predictions(predictions_path, diagnostics)

@@ -27,7 +27,6 @@ VALUE_KINDS = (
     "count",
     "day_of_week",
     "boolean_yes_no",
-    "categorical",
 )
 
 #: A dialogue state: slot name -> literal value or DONTCARE.
@@ -85,14 +84,12 @@ class SlotSpec:
     phrase_template: str
     dontcare_noun: str
     value_kind: str
-    canonical_position: int
     clause: bool = False
     front_when_an: bool = False
     unit_singular: str = ""
     unit_plural: str = ""
     phrase_yes: str = ""
     phrase_no: str = ""
-    categories: tuple[str, ...] = ()
 
     @property
     def bare_name(self) -> str:
@@ -127,12 +124,17 @@ class Ontology:
             for domain in self.domains.values()
             for spec in domain.slots
         }
+        self._rank = {slot_name: i for i, slot_name in enumerate(self._slots)}
 
     def slot(self, slot_name: str) -> SlotSpec:
         return self._slots[slot_name]
 
     def has_slot(self, slot_name: str) -> bool:
         return slot_name in self._slots
+
+    def slot_rank(self, slot_name: str) -> int:
+        """Place in domain-then-slot order; an off-schema slot ranks after all schema slots."""
+        return self._rank.get(slot_name, len(self._rank))
 
     def domain_of(self, slot_name: str) -> str:
         return self._slots[slot_name].domain
@@ -141,7 +143,7 @@ class Ontology:
         return tuple(self._slots.values())
 
 
-def _parse_slot(domain_name: str, slot_name: str, raw: dict) -> SlotSpec:
+def _parse_slot(domain_name: str, slot_name: str, raw: dict, index: int) -> SlotSpec:
     if not isinstance(raw, dict):
         raise SchemaError(f"slot {slot_name!r}: expected a mapping")
     if not slot_name.startswith(domain_name + "-") or len(slot_name) <= len(domain_name) + 1:
@@ -151,10 +153,9 @@ def _parse_slot(domain_name: str, slot_name: str, raw: dict) -> SlotSpec:
     kind = raw.get("kind", "free_text")
     if kind not in VALUE_KINDS:
         raise SchemaError(f"slot {slot_name!r}: unknown kind {kind!r}")
-    try:
-        position = int(raw["position"])
-    except (KeyError, TypeError, ValueError):
-        raise SchemaError(f"slot {slot_name!r}: position must be an integer") from None
+    position = raw.get("position", index)  # optional: the listing order is the slot order
+    if type(position) is not int or position != index:
+        raise SchemaError(f"slot {slot_name!r}: position must equal its list index {index}")
 
     template = raw.get("template", "")
     unit = raw.get("unit") or ("", "")
@@ -186,14 +187,12 @@ def _parse_slot(domain_name: str, slot_name: str, raw: dict) -> SlotSpec:
         phrase_template=template,
         dontcare_noun=str(raw.get("dontcare_noun", "")),
         value_kind=kind,
-        canonical_position=position,
         clause=bool(raw.get("clause", False)),
         front_when_an=bool(raw.get("front_when_an", False)),
         unit_singular=str(unit[0]),
         unit_plural=str(unit[1]),
         phrase_yes=str(raw.get("phrase_yes", "")),
         phrase_no=str(raw.get("phrase_no", "")),
-        categories=tuple(raw.get("categories", ())),
     )
 
 
@@ -206,15 +205,12 @@ def _parse_domain(domain_name: str, raw: dict) -> DomainSpec:
         raise SchemaError(f"domain {domain_name!r}: slots must be a mapping")
     if not raw.get("noun_phrase") or not raw.get("detect_phrase"):
         raise SchemaError(f"domain {domain_name!r}: missing noun_phrase or detect_phrase")
+    if str(raw["detect_phrase"]) not in str(raw["noun_phrase"]):  # only the noun phrase is rendered
+        raise SchemaError(f"domain {domain_name!r}: noun_phrase must contain detect_phrase")
 
     slots = []
-    for slot_name, slot_raw in raw["slots"].items():
-        slots.append(_parse_slot(domain_name, str(slot_name), slot_raw))
-    slots.sort(key=lambda s: s.canonical_position)
-
-    positions = [s.canonical_position for s in slots]
-    if len(set(positions)) != len(positions):
-        raise SchemaError(f"domain {domain_name!r}: duplicate canonical positions")
+    for index, (slot_name, slot_raw) in enumerate(raw["slots"].items()):
+        slots.append(_parse_slot(domain_name, str(slot_name), slot_raw, index))
     nouns = [s.dontcare_noun for s in slots]
     if "" in nouns or len(set(nouns)) != len(nouns):
         raise SchemaError(f"domain {domain_name!r}: dontcare nouns must be unique and nonempty")
@@ -317,8 +313,6 @@ def validate_state(ontology: Ontology, state) -> list[str]:
         spec = ontology.slot(slot_name)
         if spec.is_boolean and value not in ("yes", "no"):
             violations.append(f"{slot_name}: boolean slot takes yes/no/{DONTCARE}, got {value!r}")
-        if spec.value_kind == "categorical" and spec.categories and value not in spec.categories:
-            violations.append(f"{slot_name}: {value!r} not in categories")
     return violations
 
 
@@ -348,7 +342,7 @@ def random_state(
         picked = [s for s in domain.slots if rng.random() < 0.5]
         if not picked:
             picked = [domain.slots[rng.randrange(len(domain.slots))]]
-        for spec in sorted(picked, key=lambda s: s.canonical_position):
+        for spec in picked:
             if rng.random() < 0.1:
                 state[spec.slot_name] = DONTCARE
                 continue

@@ -213,13 +213,17 @@ def test_misspelt_domain_is_usage_error_before_the_load(monkeypatch, capsys, tmp
 
 
 @pytest.mark.parametrize("command", ["parse", "eval"])
-@pytest.mark.parametrize("flag", [["--order", "shuffled"], ["--seed", "3"]])
+@pytest.mark.parametrize("flag", [["--order", "shuffled"], ["--seed", "3"], ["--no-paraphrase"]])
 def test_parse_and_eval_take_no_order_or_seed(monkeypatch, capsys, tmp_path, command, flag):
     argv = [command, *flag]
     if command == "eval":
         argv += ["--corpus", str(FIXTURE_CORPUS), "--predictions", str(tmp_path / "p.jsonl"),
                  "--out", str(tmp_path / "r.json")]
     code, out, err = _run(argv, monkeypatch, capsys, stdin=json.dumps({"summary": ""}))
+    if command == "eval" and flag == ["--no-paraphrase"]:
+        # eval's gold render reads it: the run gets as far as the missing predictions file.
+        assert code == 2 and "p.jsonl" in err
+        return
     assert code == 1
     assert out == ""
     assert f"unrecognized arguments: {' '.join(flag)}" in err
@@ -302,7 +306,7 @@ def test_schema_with_non_integer_position_exits_2(monkeypatch, capsys, tmp_path)
         ["--ontology", str(schema), "synth"], monkeypatch, capsys, stdin=json.dumps({})
     )
     assert code == 2
-    assert "'attraction-name': position must be an integer" in err
+    assert "'attraction-name': position must equal its list index 0" in err
 
 
 @pytest.mark.parametrize("template", ["called {v} {where}", "called {v} }", "called {v[0]}"])
@@ -350,8 +354,13 @@ _NAME_SLOT = "attraction-name: {position: 0, template: 'called {v}', dontcare_no
             "value_pools:\n  attraction-name: byard art\n",
             "value_pools must map slot names to lists",
         ),
+        (  # the renderer writes only the noun phrase, so "sight" is never found
+            "domains:\n" + _ATTRACTION_DOMAIN.replace("detect_phrase: attraction", "detect_phrase: sight")
+            + f"    slots:\n      {_NAME_SLOT}\n",
+            "'attraction': noun_phrase must contain detect_phrase",
+        ),
     ],
-    ids=["domains-list", "slots-list", "value-pools-list", "value-pool-string"],
+    ids=["domains-list", "slots-list", "value-pools-list", "value-pool-string", "detect-phrase"],
 )
 def test_schema_with_non_mapping_section_exits_2(monkeypatch, capsys, tmp_path, text, message):
     schema = tmp_path / "schema.yaml"

@@ -433,6 +433,32 @@ def test_error_records_keep_state_order_among_off_schema_slots(ont):
     ]
 
 
+def test_error_records_follow_schema_order_with_off_schema_slots_last(ont):
+    # Schema slots sort by domain, then by their place in the domain's list;
+    # the off-schema ones ("spa-pool", "hotel-swimming") follow, in state order.
+    predicted = {
+        "train-leaveat": "09:15", "spa-pool": "yes", "hotel-stars": "4",
+        "restaurant-food": "thai", "hotel-area": "north", "attraction-area": "west",
+    }
+    gold = {
+        "train-arriveby": "09:15", "hotel-swimming": "no", "hotel-area": "east",
+        "restaurant-food": "thai", "taxi-departure": "cambridge", "hotel-type": "hotel",
+        "attraction-name": "byard art",
+    }
+    assert classify_errors(predicted, gold, ont) == [
+        ErrorRecord("missing_slot", "attraction-name", gold_value="byard art"),
+        ErrorRecord("missing_slot", "hotel-type", gold_value="hotel"),
+        ErrorRecord("missing_slot", "taxi-departure", gold_value="cambridge"),
+        ErrorRecord("wrong_slot", "train-arriveby", "09:15", gold_value="09:15",
+                    predicted_slot="train-leaveat"),
+        ErrorRecord("missing_slot", "hotel-swimming", gold_value="no"),
+        ErrorRecord("hallucination", "attraction-area", predicted_value="west"),
+        ErrorRecord("hallucination", "hotel-stars", predicted_value="4"),
+        ErrorRecord("hallucination", "spa-pool", predicted_value="yes"),
+        ErrorRecord("hallucination", "hotel-area", predicted_value="north"),
+    ]
+
+
 def test_error_taxonomy_end_to_end_from_summaries(ont):
     # Model-style outputs run through the parser first, then the classifier.
     cases = [

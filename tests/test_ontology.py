@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -39,6 +41,20 @@ def test_default_schema_shape(ont):
     assert set(ont.domains) == {"attraction", "hotel", "restaurant", "taxi", "train"}
     assert len(ont.domains["hotel"].slots) == 10
     assert ont.domains["attraction"].noun_phrase == "an attraction"
+
+
+def test_default_schema_lists_slots_in_sentence_order(ont):
+    assert [spec.slot_name for spec in ont.all_slots()] == [
+        "attraction-name", "attraction-type", "attraction-area",
+        "hotel-type", "hotel-name", "hotel-stars", "hotel-pricerange", "hotel-area",
+        "hotel-book people", "hotel-book day", "hotel-book stay", "hotel-parking",
+        "hotel-internet",
+        "restaurant-name", "restaurant-area", "restaurant-pricerange", "restaurant-book people",
+        "restaurant-book day", "restaurant-book time", "restaurant-food",
+        "taxi-departure", "taxi-destination", "taxi-leaveat", "taxi-arriveby",
+        "train-book people", "train-departure", "train-destination", "train-day",
+        "train-leaveat", "train-arriveby",
+    ]
 
 
 def test_slot_lookup(ont):
@@ -112,6 +128,37 @@ def test_custom_schema_round_trips(tmp_path):
         "attraction-name: 'house near the river' reads back as 'house' (cut at 'near the')",
         "attraction-area: None reads back as 'river'",
     ]
+
+
+def test_position_keys_in_list_order_change_nothing(tmp_path):
+    with_positions, without = tmp_path / "with.yaml", tmp_path / "without.yaml"
+    with_positions.write_text(CUSTOM_SCHEMA)
+    without.write_text(re.sub(r"position: \d+(, |\n +)", "", CUSTOM_SCHEMA))
+    assert "position" not in without.read_text()
+    assert load_ontology(with_positions).domains == load_ontology(without).domains
+
+
+@pytest.mark.parametrize(
+    "type_position, name_position",
+    [("1", "0"), ("abc", "1"), ("0.0", "1"), ("true", "1"), ("null", "1")],
+    ids=["swapped", "text", "float", "bool", "null"],
+)
+def test_position_other_than_the_list_index_rejected(tmp_path, type_position, name_position):
+    # The listing order is the slot order: a position that disagrees fails, never reorders.
+    path = tmp_path / "schema.yaml"
+    path.write_text(
+        CUSTOM_SCHEMA.replace("type: {position: 0,", f"type: {{position: {type_position},")
+        .replace("name: {position: 1,", f"name: {{position: {name_position},")
+    )
+    with pytest.raises(SchemaError, match="'attraction-type': position must equal its list index 0"):
+        load_ontology(path)
+
+
+def test_categorical_kind_rejected(tmp_path):
+    path = tmp_path / "schema.yaml"
+    path.write_text(MINIMAL_SCHEMA.replace("position: 0", "kind: categorical"))
+    with pytest.raises(SchemaError, match="'attraction-name': unknown kind 'categorical'"):
+        load_ontology(path)
 
 
 def test_template_without_literal_head_rejected(tmp_path):
