@@ -131,6 +131,10 @@ def _cmd_synth(args, ontology) -> int:
     cfg = _config_from(args)
     rng = random.Random(args.seed) if args.order == "shuffled" else None
     summary = state_to_summary(state, ontology, cfg, rng)
+    issues = reserved_collisions(state, ontology, cfg, summary)
+    if issues:  # print no summary that would parse back to another state
+        print(f"round-trip failure: {'; '.join(issues)}; summary {summary!r}", file=sys.stderr)
+        return EXIT_INVARIANT
     json.dump({"summary": summary}, sys.stdout)
     sys.stdout.write("\n")
     return EXIT_OK

@@ -40,18 +40,14 @@ _CHUNK = 1 << 16  # characters of data.json read at a time
 
 
 @dataclass
-class Turn:
-    """One user turn with the cumulative belief state after it."""
-
-    index: int
-    state: DialogueState
-    history_text: str
-
-
-@dataclass
 class Dialogue:
+    """``states[i]`` is the cumulative belief state after user turn ``i``. ``lines`` holds
+    two per turn, ``"system: …"`` (the reply before it) then ``"user: …"``, so the
+    history of turn ``i`` is ``"\\n".join(lines[: 2 * i + 2])``."""
+
     dialogue_id: str
-    turns: list[Turn]
+    states: list[DialogueState]
+    lines: list[str]
     domains: frozenset[str]
 
 
@@ -67,12 +63,12 @@ class Corpus:
     def dialogue_map(self) -> dict[str, Dialogue]:
         return {d.dialogue_id: d for split in self.splits.values() for d in split}
 
-    def turn_map(self) -> dict[tuple[str, int], Turn]:
+    def turn_map(self) -> dict[tuple[str, int], DialogueState]:
         return {
-            (d.dialogue_id, t.index): t
+            (d.dialogue_id, index): state
             for split in self.splits.values()
             for d in split
-            for t in d.turns
+            for index, state in enumerate(d.states)
         }
 
 
@@ -188,8 +184,7 @@ def _build_dialogue(dialogue_id: str, raw: dict) -> Dialogue:
     if len(logturns) % 2 != 0:
         raise CorpusError(f"odd number of log entries ({len(logturns)})")
 
-    turns = []
-    history_lines: list[str] = []
+    states, lines = [], []
     for index in range(len(logturns) // 2):
         user = logturns[2 * index]
         system_reply = logturns[2 * index + 1]
@@ -201,18 +196,10 @@ def _build_dialogue(dialogue_id: str, raw: dict) -> Dialogue:
         if not isinstance(metadata, dict):
             raise CorpusError(f"turn {index}: metadata is not an object")
         previous_system = logturns[2 * index - 1]["text"] if index > 0 else ""
-        history_lines.append(f"system: {previous_system}")
-        history_lines.append(f"user: {user['text']}")
-        turns.append(
-            Turn(
-                index=index,
-                state=_state_from_metadata(metadata),
-                history_text="\n".join(history_lines),
-            )
-        )
-    return Dialogue(
-        dialogue_id=dialogue_id, turns=turns, domains=_goal_domains(goal)
-    )
+        lines.append(f"system: {previous_system}")
+        lines.append(f"user: {user['text']}")
+        states.append(_state_from_metadata(metadata))
+    return Dialogue(dialogue_id, states, lines, _goal_domains(goal))
 
 
 @contextmanager
@@ -466,21 +453,21 @@ def export_training_file(
                 diags.append(f"{dialogue_id}: skipped, {exc}")
                 continue
             previous = None
-            for turn, (_, label) in zip(dialogue.turns, labels):
+            for index, (state, label) in enumerate(zip(dialogue.states, labels)):
                 # A state often stays put for several turns; its verdict then holds too.
-                if (label, turn.state) != previous:
-                    previous = (label, turn.state)
-                    collisions = reserved_collisions(turn.state, ontology, cfg, label)
+                if (label, state) != previous:
+                    previous = (label, state)
+                    collisions = reserved_collisions(state, ontology, cfg, label)
                 if collisions:
-                    diags.append(f"{dialogue_id}/{turn.index}: skipped, {'; '.join(collisions)}")
+                    diags.append(f"{dialogue_id}/{index}: skipped, {'; '.join(collisions)}")
                     continue
                 record = {
                     "dialogue_id": dialogue_id,
-                    "turn_index": turn.index,
+                    "turn_index": index,
                     "split_role": roles[dialogue_id],
-                    "history": turn.history_text,
+                    "history": "\n".join(dialogue.lines[: 2 * index + 2]),
                     "gold_summary": label,
-                    "gold_state": dict(turn.state),
+                    "gold_state": dict(state),
                 }
                 handle.write(json.dumps(record, ensure_ascii=False) + "\n")
                 written += 1

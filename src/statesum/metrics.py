@@ -56,12 +56,12 @@ class Report:
     bleu4: float
     rouge_n_f1: dict[int, float]
     error_counts: dict[str, int]
-    gold_summary_domain_order: str = "canonical"
     diagnostics: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
         report = asdict(self)
         report["rouge_n_f1"] = {str(n): v for n, v in self.rouge_n_f1.items()}
+        report["gold_summary_domain_order"] = "canonical"  # evaluate_run renders gold that way
         report["n_diagnostics"] = len(report.pop("diagnostics"))
         return report
 
@@ -366,11 +366,11 @@ def evaluate_run(
     """
     diagnostics: list[str] = []
     records: list[PredictionRecord] = load_predictions(predictions_path, diagnostics)
-    turns = corpus.turn_map()
+    gold_by_turn = corpus.turn_map()
     unmatched = sorted(
         f"{r.dialogue_id}/{r.turn_index}"
         for r in records
-        if (r.dialogue_id, r.turn_index) not in turns
+        if (r.dialogue_id, r.turn_index) not in gold_by_turn
     )
     if unmatched:
         raise EvaluationError(
@@ -386,19 +386,19 @@ def evaluate_run(
     gold_state: DialogueState | None = None
     records.sort(key=lambda r: (r.dialogue_id, r.turn_index))
     for record in records:
-        turn = turns[(record.dialogue_id, record.turn_index)]
+        gold = gold_by_turn[(record.dialogue_id, record.turn_index)]
         parsed = extractor.parse(record.predicted_summary, cfg)
-        pairs.append((parsed.state, turn.state))
+        pairs.append((parsed.state, gold))
         # The render follows the state's slot order, so a reuse needs that order too.
-        if turn.state != gold_state or list(turn.state) != list(gold_state):
-            gold_state = turn.state
+        if gold != gold_state or list(gold) != list(gold_state):
+            gold_state = gold
             try:
                 reference = state_to_summary(gold_state, ontology, gold_cfg)
             except StateValidationError as exc:
                 where = f"{record.dialogue_id}/{record.turn_index}"
                 raise EvaluationError(f"{where}: gold state rejected by the schema: {exc}") from exc
         references.append(reference)
-        for error in classify_errors(parsed.state, turn.state, ontology):
+        for error in classify_errors(parsed.state, gold, ontology):
             error_counts[error.kind] += 1
         if parsed.diagnostics:
             per_turn_diagnostics.append(

@@ -29,6 +29,9 @@ VALUE_KINDS = (
     "boolean_yes_no",
 )
 
+_SLOT_KEYS = ("kind", "template", "unit", "phrase_yes", "phrase_no", "clause", "front_when_an",
+              "dontcare_noun", "position", "match")  # older schemas may hold `match`: ignored
+
 #: A dialogue state: slot name -> literal value or DONTCARE.
 DialogueState = dict[str, str]
 
@@ -146,6 +149,8 @@ class Ontology:
 def _parse_slot(domain_name: str, slot_name: str, raw: dict, index: int) -> SlotSpec:
     if not isinstance(raw, dict):
         raise SchemaError(f"slot {slot_name!r}: expected a mapping")
+    if unknown := [str(key) for key in raw if key not in _SLOT_KEYS]:  # a misspelt key fails
+        raise SchemaError(f"slot {slot_name!r}: unknown key(s) {', '.join(unknown)}")
     if not slot_name.startswith(domain_name + "-") or len(slot_name) <= len(domain_name) + 1:
         raise SchemaError(
             f"slot {slot_name!r}: name must have the form '{domain_name}-<slot>'"

@@ -181,13 +181,13 @@ def synthesize_labels(
     ontology: Ontology,
     cfg: TemplateConfig = TemplateConfig(),
     seed: int = 0,
-) -> list[tuple[int, str]]:
-    """Gold summary per turn of a dialogue, deterministic for a given seed."""
+) -> list[str]:
+    """Gold summary of each of a dialogue's states, deterministic for a given seed."""
     labels = []
-    for turn in dialogue.turns:
+    for index, state in enumerate(dialogue.states):
         rng = None
         # A single domain has no order to shuffle, and seeding a generator costs microseconds.
-        if cfg.domain_order == "shuffled" and _spans_domains(turn.state, ontology):
-            rng = _turn_rng(seed, dialogue.dialogue_id, turn.index)
-        labels.append((turn.index, state_to_summary(turn.state, ontology, cfg, rng)))
+        if cfg.domain_order == "shuffled" and _spans_domains(state, ontology):
+            rng = _turn_rng(seed, dialogue.dialogue_id, index)
+        labels.append(state_to_summary(state, ontology, cfg, rng))
     return labels

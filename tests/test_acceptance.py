@@ -32,7 +32,7 @@ from statesum import (
     slot_accuracy,
     state_to_summary,
 )
-from statesum.corpus import Corpus, Dialogue, Turn
+from statesum.corpus import Corpus, Dialogue
 from statesum.destate import StateExtractor, parse_summary
 
 import golden_data as gd
@@ -226,13 +226,13 @@ def test_criterion6_metric_oracles(ont, mini_corpus, tmp_path):
     rows = []
     for split_dialogues in mini_corpus.splits.values():
         for dialogue in split_dialogues:
-            for turn in dialogue.turns:
-                if (dialogue.dialogue_id, turn.index) in FIXTURE_COLLIDING_TURNS:
+            for index, state in enumerate(dialogue.states):
+                if (dialogue.dialogue_id, index) in FIXTURE_COLLIDING_TURNS:
                     continue
                 rows.append({
                     "dialogue_id": dialogue.dialogue_id,
-                    "turn_index": turn.index,
-                    "predicted_summary": state_to_summary(turn.state, ont),
+                    "turn_index": index,
+                    "predicted_summary": state_to_summary(state, ont),
                 })
     predictions = tmp_path / "gold_preds.jsonl"
     with open(predictions, "w", encoding="utf-8") as handle:
@@ -278,17 +278,17 @@ def test_criterion8_single_pass_scoring(ont, tmp_path):
     dialogues = []
     rows = []
     for d in range(1000):
-        turns = []
+        states = []
         for t in range(10):
             state = random_state(ont, seed=d * 10 + t)
-            turns.append(Turn(index=t, state=state, history_text=""))
+            states.append(state)
             rows.append({
                 "dialogue_id": f"GEN{d:04d}.json",
                 "turn_index": t,
                 "predicted_summary": state_to_summary(state, ont),
             })
         dialogues.append(
-            Dialogue(dialogue_id=f"GEN{d:04d}.json", turns=turns, domains=frozenset())
+            Dialogue(f"GEN{d:04d}.json", states, lines=[], domains=frozenset())
         )
     corpus = Corpus(splits={"train": [], "dev": [], "test": dialogues})
     predictions = tmp_path / "preds.jsonl"

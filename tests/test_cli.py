@@ -54,6 +54,18 @@ def test_synth_parse_are_inverse(monkeypatch, capsys):
     assert json.loads(out)["state"] == gd.VARIANT_SAMPLE_STATE
 
 
+@pytest.mark.parametrize("state, slot", [
+    ({"restaurant-name": "meze bar located in the west"}, "restaurant-name"),
+    ({"hotel-book people": "many"}, "hotel-book people"),
+])
+def test_synth_of_a_summary_that_does_not_parse_back_exits_3(monkeypatch, capsys, state, slot):
+    code, out, err = _run(["synth"], monkeypatch, capsys, stdin=json.dumps(state))
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"round-trip failure: {slot}: {state[slot]!r} reads back as ")
+    assert "; summary 'The user is looking for " in err
+
+
 def test_synth_invalid_state_exits_2(monkeypatch, capsys):
     code, _, err = _run(
         ["synth"], monkeypatch, capsys, stdin=json.dumps({"hotel-area": "north, east"})
@@ -359,8 +371,17 @@ _NAME_SLOT = "attraction-name: {position: 0, template: 'called {v}', dontcare_no
             + f"    slots:\n      {_NAME_SLOT}\n",
             "'attraction': noun_phrase must contain detect_phrase",
         ),
+        *(  # a misspelt slot key would otherwise fall back to its default
+            (
+                "domains:\n" + _ATTRACTION_DOMAIN + "    slots:\n      "
+                + _NAME_SLOT[:-1] + f", {key}: {value}}}\n",
+                f"slot 'attraction-name': unknown key(s) {key}",
+            )
+            for key, value in (("knd", "count"), ("clasue", "true"), ("front_when_a", "true"))
+        ),
     ],
-    ids=["domains-list", "slots-list", "value-pools-list", "value-pool-string", "detect-phrase"],
+    ids=["domains-list", "slots-list", "value-pools-list", "value-pool-string", "detect-phrase",
+         "knd", "clasue", "front_when_a"],
 )
 def test_schema_with_non_mapping_section_exits_2(monkeypatch, capsys, tmp_path, text, message):
     schema = tmp_path / "schema.yaml"

@@ -40,7 +40,8 @@ def synthetic_corpus(counts: dict[str, int]) -> Corpus:
             dialogues.append(
                 Dialogue(
                     dialogue_id=f"{domain}-{i:05d}.json",
-                    turns=[],
+                    states=[],
+                    lines=[],
                     domains=frozenset([domain]),
                 )
             )
@@ -74,20 +75,20 @@ def test_domain_counts(mini_corpus):
 
 def test_states_are_cumulative(mini_corpus):
     dialogue = mini_corpus.dialogue_map()["PMUL0001.json"]
-    for earlier, later in zip(dialogue.turns, dialogue.turns[1:]):
-        assert set(earlier.state) <= set(later.state)
+    for earlier, later in zip(dialogue.states, dialogue.states[1:]):
+        assert set(earlier) <= set(later)
 
 
 def test_value_normalization(mini_corpus):
     by_id = mini_corpus.dialogue_map()
-    attraction = by_id["SNG0001.json"].turns[-1].state
+    attraction = by_id["SNG0001.json"].states[-1]
     assert attraction["attraction-area"] == "center"  # "Center " in the raw file
-    hotel = by_id["PMUL0001.json"].turns[1].state
+    hotel = by_id["PMUL0001.json"].states[1]
     assert hotel["hotel-area"] == DONTCARE  # "do n't care" in the raw file
-    booked = by_id["SNG0006.json"].turns[-1].state
+    booked = by_id["SNG0006.json"].states[-1]
     assert booked["hotel-parking"] == "yes"  # "free" in the raw file
     assert booked["hotel-book people"] == "6"
-    noise = by_id["SNG0007.json"].turns[0].state
+    noise = by_id["SNG0007.json"].states[0]
     assert noise == {"restaurant-food": "chinese"}  # "", none, not mentioned dropped
 
 
@@ -164,9 +165,16 @@ def test_failed_load_restores_collector_state(tmp_path):
     assert gc.isenabled()
 
 
-def test_history_format(mini_corpus):
-    turn = mini_corpus.dialogue_map()["PMUL0001.json"].turns[1]
-    lines = turn.history_text.splitlines()
+def test_history_format(mini_corpus, ont, tmp_path):
+    dialogue = mini_corpus.dialogue_map()["PMUL0001.json"]
+    assert len(dialogue.lines) == 2 * len(dialogue.states)
+    split = sample_fewshot(mini_corpus, "md", ratio=1.0, seed=11)
+    out = tmp_path / "labels.jsonl"
+    export_training_file(split, mini_corpus, ont, out=out)
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    (record,) = [r for r in records if (r["dialogue_id"], r["turn_index"]) == ("PMUL0001.json", 1)]
+    lines = record["history"].splitlines()
+    assert lines == dialogue.lines[:4]
     assert lines[0] == "system: "
     assert lines[1].startswith("user: ")
     assert lines[2] == "system: plenty of options, any area?"
@@ -315,7 +323,8 @@ def test_repeated_id_keeps_first_position_and_last_record(tmp_path):
     assert corpus == reference
     by_id = corpus.dialogue_map()
     assert ids[0] in by_id and ids[2] not in by_id
-    assert by_id[ids[3]].turns == by_id[ids[1]].turns
+    assert by_id[ids[3]].states == by_id[ids[1]].states
+    assert by_id[ids[3]].lines == by_id[ids[1]].lines
     assert f"{ids[2]}: skipped (missing goal or log)" in corpus.diagnostics
 
 
@@ -399,8 +408,8 @@ def test_chunk_boundaries_change_no_result(tmp_path, monkeypatch, case, chunk, l
     assert _outcome(path) == expected
     if case == "multibyte":
         dialogue_id = next(iter(_fixture_records()))
-        history = load_multiwoz(path).dialogue_map()[dialogue_id].turns[0].history_text
-        assert history == f"system: \nuser: {_MULTIBYTE_TEXT}"
+        lines = load_multiwoz(path).dialogue_map()[dialogue_id].lines
+        assert lines[:2] == ["system: ", f"user: {_MULTIBYTE_TEXT}"]
 
 
 def _invalid_utf8_archive(root, layout):
@@ -452,6 +461,25 @@ def test_load_peak_memory_is_at_most_one_and_a_half_times_the_file(tmp_path, lay
         tracemalloc.stop()
     assert len(corpus.train) == 100 * 9
     assert peak <= 1.5 * size, f"peak {peak / size:.2f}x the file size"
+
+
+def test_load_memory_is_linear_in_dialogue_length(tmp_path):
+    # Each utterance is kept once; a copy of the history per turn would grow as
+    # the square of the dialogue's length.
+    record = _fixture_records()["SNG0001.json"]
+    peak_per_byte = []
+    for n_turns in (100, 400):
+        text = json.dumps({"LONG.json": dict(record, log=record["log"][:2] * n_turns)})
+        path = _write_archive(tmp_path / str(n_turns), text)
+        tracemalloc.start()
+        try:
+            corpus = load_multiwoz(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(corpus.dialogue_map()["LONG.json"].states) == n_turns
+        peak_per_byte.append(peak / len(text.encode("utf-8")))
+    assert peak_per_byte[1] <= 1.1 * peak_per_byte[0], peak_per_byte
 
 
 # -- few-shot sampling -----------------------------------------------------------
@@ -539,10 +567,10 @@ def test_export_counts_and_roles(mini_corpus, ont, tmp_path):
     assert by_role["PMUL0001.json"] == "finetune"
     assert by_role["SNG0001.json"] == "pretrain"
     expected_turns = sum(
-        len(mini_corpus.dialogue_map()[did].turns)
+        len(mini_corpus.dialogue_map()[did].states)
         for did in split.pretrain_ids + split.finetune_ids
         if did != "SNG0004.json"
-    ) + len(mini_corpus.dialogue_map()["SNG0004.json"].turns) - 1
+    ) + len(mini_corpus.dialogue_map()["SNG0004.json"].states) - 1
     assert written == expected_turns
 
 
@@ -625,11 +653,12 @@ def test_export_writes_exactly_the_round_trips(mini_corpus, ont, tmp_path, cfg):
         assert parse_summary(record["gold_summary"], ont, cfg).state == record["gold_state"], record
     dialogues = mini_corpus.dialogue_map()
     for dialogue_id in split.finetune_ids:
-        labels = dict(synthesize_labels(dialogues[dialogue_id], ont, cfg, split.seed))
-        for turn in dialogues[dialogue_id].turns:
-            if (dialogue_id, turn.index) not in written:
-                parsed = parse_summary(labels[turn.index], ont, cfg)
-                assert parsed.state != turn.state or parsed.diagnostics, (dialogue_id, turn.index)
+        states = dialogues[dialogue_id].states
+        labels = synthesize_labels(dialogues[dialogue_id], ont, cfg, split.seed)
+        for index, (state, label) in enumerate(zip(states, labels, strict=True)):
+            if (dialogue_id, index) not in written:
+                parsed = parse_summary(label, ont, cfg)
+                assert parsed.state != state or parsed.diagnostics, (dialogue_id, index)
     # The flat format has no " and " terminator, so the venue name survives there.
     assert (("SNG0004.json", 1) in written) == (not cfg.naturalness)
 
@@ -673,16 +702,12 @@ def test_export_closure_at_scale(ont, tmp_path):
     # Thousands of generated dialogues: the export must stay fast and every
     # written summary must parse back exactly, shuffled domain order included.
     from statesum import random_state
-    from statesum.corpus import Turn
 
     dialogues = []
     for d in range(1500):
-        turns = [
-            Turn(index=t, state=random_state(ont, seed=d * 4 + t), history_text="")
-            for t in range(4)
-        ]
+        states = [random_state(ont, seed=d * 4 + t) for t in range(4)]
         dialogues.append(
-            Dialogue(dialogue_id=f"GEN{d:05d}.json", turns=turns, domains=frozenset())
+            Dialogue(f"GEN{d:05d}.json", states, ["system: ", "user: "] * 4, domains=frozenset())
         )
     corpus = Corpus(splits={"train": dialogues, "dev": [], "test": []})
     split = sample_fewshot(corpus, "md", ratio=1.0, seed=11)

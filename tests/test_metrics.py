@@ -21,7 +21,7 @@ from statesum import (
     state_to_summary,
 )
 from statesum import metrics
-from statesum.corpus import Corpus, Dialogue, Turn
+from statesum.corpus import Corpus, Dialogue
 from statesum.metrics import _clipped_overlaps, _ngram_counts, _rouge_f1
 
 import golden_data as gd
@@ -525,13 +525,13 @@ def _gold_predictions(corpus, ont):
     rows = []
     for split in corpus.splits.values():
         for dialogue in split:
-            for turn in dialogue.turns:
-                if (dialogue.dialogue_id, turn.index) in FIXTURE_COLLIDING_TURNS:
+            for index, state in enumerate(dialogue.states):
+                if (dialogue.dialogue_id, index) in FIXTURE_COLLIDING_TURNS:
                     continue
                 rows.append({
                     "dialogue_id": dialogue.dialogue_id,
-                    "turn_index": turn.index,
-                    "predicted_summary": state_to_summary(turn.state, ont),
+                    "turn_index": index,
+                    "predicted_summary": state_to_summary(state, ont),
                 })
     return rows
 
@@ -573,16 +573,16 @@ def test_evaluate_run_dropped_slot_fraction(mini_corpus, ont, tmp_path):
     dropped = total_active = 0
     for split in mini_corpus.splits.values():
         for dialogue in split:
-            for turn in dialogue.turns:
-                if (dialogue.dialogue_id, turn.index) in FIXTURE_COLLIDING_TURNS or not turn.state:
+            for index, gold in enumerate(dialogue.states):
+                if (dialogue.dialogue_id, index) in FIXTURE_COLLIDING_TURNS or not gold:
                     continue
-                state = dict(turn.state)
+                state = dict(gold)
                 state.pop(next(iter(state)))
-                total_active += len(turn.state)
+                total_active += len(gold)
                 dropped += 1
                 rows.append({
                     "dialogue_id": dialogue.dialogue_id,
-                    "turn_index": turn.index,
+                    "turn_index": index,
                     "predicted_summary": state_to_summary(state, ont),
                 })
     preds = tmp_path / "preds.jsonl"
@@ -635,7 +635,8 @@ def test_evaluate_run_renders_gold_once_per_unchanged_state(ont, tmp_path, monke
     dialogues = [
         Dialogue(
             dialogue_id=name,
-            turns=[Turn(i, state, "") for (d, i), state in gold.items() if d == name],
+            states=[state for (d, _), state in gold.items() if d == name],
+            lines=[],
             domains=frozenset({"hotel", "train"}),
         )
         for name in ("A.json", "B.json")
@@ -694,7 +695,8 @@ def test_evaluate_run_text_scores_equal_public_functions_and_oracles(ont, turns)
         candidates.append(" ".join(tokens))
     dialogue = Dialogue(
         dialogue_id="H.json",
-        turns=[Turn(i, state, "") for i, state in enumerate(states)],
+        states=states,
+        lines=[],
         domains=frozenset(ont.domains),
     )
     with tempfile.TemporaryDirectory() as tmp:

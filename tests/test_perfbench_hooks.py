@@ -1,6 +1,7 @@
 """The benchmark imports library names and patches functions by name; keep those names alive."""
 
 import importlib.util
+import itertools
 import json
 import os
 import subprocess
@@ -60,6 +61,18 @@ def test_generated_workload_passes_the_benchmark_check(tmp_path, monkeypatch, wo
         written = export_training_file(split, corpus, ont, cfg, tmp_path / "labels.jsonl", skipped)
         verdict = check.check_export(tmp_path, expected, ont, cfg, written, len(skipped))
         assert written and skipped
+        # check_export reads no history: rebuild each from the raw log, without the library.
+        with open(tmp_path / "corpus" / "data.json", encoding="utf-8") as handle:
+            texts = {
+                did: [""] + [entry["text"] for entry in raw["log"]]
+                for did, raw in json.load(handle).items()
+            }
+        records = (tmp_path / "labels.jsonl").read_text("utf-8").splitlines()
+        assert len(records) == written
+        for record in map(json.loads, records):
+            said = texts[record["dialogue_id"]][: 2 * record["turn_index"] + 2]
+            roles = itertools.cycle(("system", "user"))
+            assert record["history"] == "\n".join(f"{r}: {t}" for r, t in zip(roles, said)), record
     else:
         evaluate_run(tmp_path / "predictions.jsonl", corpus, ont, out=tmp_path / "report.json")
         verdict = check.check_eval(ROOT, tmp_path, expected, ont)

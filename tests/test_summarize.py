@@ -12,7 +12,7 @@ from statesum import (
     state_to_summary,
 )
 from statesum import summarize
-from statesum.corpus import Dialogue, Turn
+from statesum.corpus import Dialogue
 from statesum.summarize import synthesize_labels
 
 import golden_data as gd
@@ -174,22 +174,19 @@ def test_value_containment_property(ont):
 
 
 def _dialogue(states):
-    turns = [
-        Turn(index=i, state=s, history_text="")
-        for i, s in enumerate(states)
-    ]
-    return Dialogue(dialogue_id="T0001.json", turns=turns, domains=frozenset(["attraction"]))
+    lines = ["system: ", "user: "] * len(states)
+    return Dialogue("T0001.json", states, lines, domains=frozenset(["attraction"]))
 
 
 def test_synthesize_labels_empty_turn(ont):
     labels = synthesize_labels(_dialogue([{}]), ont)
-    assert labels == [(0, "")]
+    assert labels == [""]
 
 
 def test_synthesize_labels_matches_renderer(ont):
     dialogue = _dialogue([{}, gd.ATTRACTION_STATE])
     labels = synthesize_labels(dialogue, ont)
-    assert labels[-1] == (1, gd.ATTRACTION_SUMMARY)
+    assert labels == ["", gd.ATTRACTION_SUMMARY]
 
 
 def test_synthesize_labels_deterministic_under_shuffle(ont):
@@ -210,7 +207,7 @@ def test_synthesize_labels_seeds_only_states_with_several_domains(ont, monkeypat
     cfg = TemplateConfig(domain_order="shuffled")
     # The labels a generator seeded for every turn gives.
     expected = [
-        (i, state_to_summary(state, ont, cfg, summarize._turn_rng(7, dialogue.dialogue_id, i)))
+        state_to_summary(state, ont, cfg, summarize._turn_rng(7, dialogue.dialogue_id, i))
         for i, state in enumerate(states)
     ]
     seeded = []
