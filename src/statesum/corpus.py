@@ -145,7 +145,7 @@ def normalize_raw_value(raw, slot_name: str = "") -> str | None:
     return value or None
 
 
-def _state_from_metadata(metadata: dict) -> DialogueState:
+def _state_from_metadata(metadata: dict, memo: dict) -> DialogueState:
     state: DialogueState = {}
     for domain in SUPPORTED_DOMAINS:
         annotation = metadata.get(domain)
@@ -159,12 +159,19 @@ def _state_from_metadata(metadata: dict) -> DialogueState:
                 if raw_key == "booked":
                     continue
                 # Most raw values are exact blanks, which normalize to None.
-                if isinstance(raw_value, str) and raw_value in _NONE_VALUES:
+                is_text = isinstance(raw_value, str)
+                if is_text and raw_value in _NONE_VALUES:
                     continue
-                key = str(raw_key).lower()
-                key = _SLOT_ALIASES.get(key, key)
-                slot_name = f"{domain}-{infix}{key}"
-                value = normalize_raw_value(raw_value, slot_name)
+                entry = (domain, infix, raw_key, raw_value)
+                found = memo.get(entry) if is_text else None
+                if found is None:
+                    key = str(raw_key).lower()
+                    key = _SLOT_ALIASES.get(key, key)
+                    slot_name = f"{domain}-{infix}{key}"
+                    found = slot_name, normalize_raw_value(raw_value, slot_name)
+                    if is_text:
+                        memo[entry] = found
+                slot_name, value = found
                 if value is not None:
                     state[slot_name] = value
     return state
@@ -174,7 +181,7 @@ def _goal_domains(goal: dict) -> frozenset[str]:
     return frozenset(d for d in SUPPORTED_DOMAINS if goal.get(d))
 
 
-def _build_dialogue(dialogue_id: str, raw: dict) -> Dialogue:
+def _build_dialogue(dialogue_id: str, raw: dict, memo: dict) -> Dialogue:
     if not isinstance(raw, dict):
         raise CorpusError("record is not an object")
     goal = raw.get("goal")
@@ -198,7 +205,7 @@ def _build_dialogue(dialogue_id: str, raw: dict) -> Dialogue:
         previous_system = logturns[2 * index - 1]["text"] if index > 0 else ""
         lines.append(f"system: {previous_system}")
         lines.append(f"user: {user['text']}")
-        states.append(_state_from_metadata(metadata))
+        states.append(_state_from_metadata(metadata, memo))
     return Dialogue(dialogue_id, states, lines, _goal_domains(goal))
 
 
@@ -253,17 +260,18 @@ def _records(handle, path: Path):
 
     def step(parse):
         """Move ``pos`` past ``parse(text, pos) -> (value, end)`` and return the value. While
-        that fails or stops at the buffer's end, drop the consumed text, read a chunk (or as
-        much again as is kept, if longer: a step that keeps failing costs linear time), retry."""
+        it stops within 2 characters of the buffer's end (a number may go on) or fails as cut
+        text does (within 10 characters of it, or an unterminated string), drop the consumed
+        text, read a chunk (or the kept length, if longer) and retry; other failures raise."""
         nonlocal text, pos, more
         while True:
             try:
                 value, end = parse(text, pos)
-                if end < len(text) or not more:
+                if end + 2 < len(text) or not more:
                     pos = end
                     return value
-            except json.JSONDecodeError:
-                if not more:
+            except json.JSONDecodeError as exc:
+                if not more or exc.pos + 10 < len(text) and not exc.msg.startswith("Unterminated"):
                     raise
             chunk = handle.read(max(_CHUNK, len(text) - pos))
             text, pos, more = text[pos:] + chunk, 0, bool(chunk)
@@ -303,21 +311,22 @@ def _records(handle, path: Path):
 def load_multiwoz(path: str | Path) -> Corpus:
     """Load a raw archive into per-split dialogues with normalized states.
 
-    Dialogues annotated only with unsupported domains are dropped; malformed
-    records are skipped and counted in the corpus diagnostics. ``data.json`` is
-    read in 64 KiB chunks and decoded one dialogue record at a time, each record
-    dropped once its dialogue is built, so only one chunk of text, one raw record
-    and the growing corpus are alive. A repeated dialogue id keeps its first
-    position and its last record, as in the dict ``json.loads`` builds.
+    Dialogues annotated only with unsupported domains are dropped; malformed records are
+    skipped and counted in the corpus diagnostics. ``data.json`` is read in 64 KiB chunks and
+    decoded one dialogue record at a time, each dropped once its dialogue is built, so only one
+    chunk of text, one raw record and the corpus are alive. Each distinct annotation entry is
+    normalized once per load, and states share its strings. A repeated dialogue id keeps its
+    first position and its last record, as in the dict ``json.loads`` builds.
     """
     path = Path(path)
     if not path.exists():
         raise CorpusError(f"{path}: no such file or directory")
     built: dict[str, Dialogue | str] = {}  # a str is the diagnostic of a skipped record
+    memo: dict = {}  # (domain, infix, raw key, raw text value) -> (slot name, value)
     with _open_archive(path) as (handle, dev_ids, test_ids):
         for dialogue_id, raw in _records(handle, path):
             try:
-                built[dialogue_id] = _build_dialogue(dialogue_id, raw)
+                built[dialogue_id] = _build_dialogue(dialogue_id, raw, memo)
             except CorpusError as exc:
                 built[dialogue_id] = f"{dialogue_id}: skipped ({exc})"
 

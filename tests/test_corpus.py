@@ -135,12 +135,45 @@ def test_blank_value_skip_changes_no_state():
                 value = normalize_raw_value(raw_value, f"{domain}-book {raw_key.lower()}")
                 if value is not None:
                     expected[f"{domain}-book {raw_key.lower()}"] = value
-    state = _state_from_metadata(metadata)
+    state = _state_from_metadata(metadata, {})
     assert list(state.items()) == list(expected.items())
     assert state["hotel-parking"] == "yes" and state["hotel-internet"] == "yes"
     assert state["hotel-day"] == DONTCARE and state["hotel-book people"] == "3"
     assert state["hotel-pricerange"] == state["train-pricerange"] == "cheap"
     assert state["hotel-leaveat"] == "11:30" and "hotel-stars" not in state
+
+
+def _record(*metadatas, goal=("restaurant",)) -> dict:
+    """A raw dialogue record with one user turn per system ``metadata``."""
+    log = []
+    for metadata in metadatas:
+        log += [{"text": "hi", "metadata": {}}, {"text": "ok", "metadata": metadata}]
+    return {"goal": {domain: {"info": {"x": "y"}} for domain in goal}, "log": log}
+
+
+def test_equal_annotation_entries_share_one_key_and_one_value(tmp_path):
+    chinese = {"restaurant": {"semi": {"food": "chinese", "area": ""}}}
+    records = {f"R{i:03d}.json": _record(chinese, chinese) for i in range(200)}
+    same = {
+        "hotel": {"semi": {"parking": "free"}, "book": {"parking": "free"}},
+        "taxi": {"semi": {"leaveAt": "10:15", "arriveBy": "10:15"}},
+    }
+    records["MIX.json"] = _record(
+        {"restaurant": {"semi": {"food": "free", "pricerange": "Cheap"}}, **same},
+        {"restaurant": {"semi": {"food": "free", "pricerange": "cheap"}}, **same},
+        goal=("restaurant", "hotel"),
+    )
+    by_id = load_multiwoz(_write_archive(tmp_path, json.dumps(records))).dialogue_map()
+    states = [state for i in range(200) for state in by_id[f"R{i:03d}.json"].states]
+    assert len(states) == 400 and all(state == {"restaurant-food": "chinese"} for state in states)
+    assert len({id(key) for state in states for key in state}) == 1
+    assert len({id(value) for state in states for value in state.values()}) == 1
+    first, second = by_id["MIX.json"].states
+    assert first["hotel-parking"] == second["hotel-parking"] == "yes"  # the memo is per slot
+    assert first["hotel-book parking"] == second["hotel-book parking"] == "free"
+    assert first["taxi-leaveat"] == first["taxi-arriveby"] == "10:15"
+    assert first["restaurant-food"] == second["restaurant-food"] == "free"
+    assert first["restaurant-pricerange"] == second["restaurant-pricerange"] == "cheap"
 
 
 @pytest.mark.parametrize("enabled_before", [True, False])
@@ -412,6 +445,24 @@ def test_chunk_boundaries_change_no_result(tmp_path, monkeypatch, case, chunk, l
         assert lines[:2] == ["system: ", f"user: {_MULTIBYTE_TEXT}"]
 
 
+@pytest.mark.parametrize("text", [
+    '{"A.json": 1.5}',
+    '{"A.json": 1.5e+3, "B.json": -0.25E-7}',
+    '{"A.json": true, "B.json": null}',
+    '{"A.json": [1.5], "B.json": "x"}',
+])
+def test_a_record_cut_at_any_chunk_boundary_loads_alike(tmp_path, monkeypatch, text):
+    # raw_decode reads "1" of "1.5" as a whole number if the buffer ends after the ".".
+    path = _write_archive(tmp_path, text)
+    outcomes = []
+    for chunk in range(1, len(text) + 2):
+        monkeypatch.setattr(corpus_module, "_CHUNK", chunk)
+        outcome = _outcome(path)
+        if outcome not in outcomes:
+            outcomes.append(outcome)
+    assert len(outcomes) == 1, outcomes
+
+
 def _invalid_utf8_archive(root, layout):
     """Eight copies of the fixture records with one byte 0xff in the last user text,
     past the first chunk of data.json."""
@@ -444,23 +495,51 @@ def test_export_of_invalid_utf8_exits_2_without_output(tmp_path, capsys, layout)
     assert list(tmp_path.iterdir()) == [tmp_path / "in"]
 
 
-@pytest.mark.parametrize("layout", ["dir", "zip"])
-def test_load_peak_memory_is_at_most_one_and_a_half_times_the_file(tmp_path, layout):
-    # A whole parsed data.json is about 7 times its text; read one chunk and
-    # decoded one record at a time, only a chunk, one record and the corpus are alive.
+def _copies_text() -> str:
+    """100 copies of the fixture records, about 2 MB of data.json."""
     records = _fixture_records()
-    text = json.dumps({f"COPY{copy:03d}-{k}": v for copy in range(100) for k, v in records.items()})
-    path = _write_archive(tmp_path, text, layout)
-    size = len(text.encode("utf-8"))
-    assert size >= 2_000_000
+    return json.dumps({f"COPY{copy:03d}-{k}": v for copy in range(100) for k, v in records.items()})
+
+
+def _load_peak(path) -> tuple[int, object]:
+    """The tracemalloc peak of loading ``path``, and the load's outcome."""
     tracemalloc.start()
     try:
-        corpus = load_multiwoz(path)
-        peak = tracemalloc.get_traced_memory()[1]
+        outcome = _outcome(path)
+        return tracemalloc.get_traced_memory()[1], outcome
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("layout", ["dir", "zip"])
+def test_load_peak_memory_is_at_most_the_file_size(tmp_path, layout):
+    # Read one chunk and decoded one record at a time, only a chunk, one record and
+    # the corpus are alive, and the corpus holds each distinct annotation string once.
+    text = _copies_text()
+    size = len(text.encode("utf-8"))
+    assert size >= 2_000_000
+    peak, corpus = _load_peak(_write_archive(tmp_path, text, layout))
     assert len(corpus.train) == 100 * 9
-    assert peak <= 1.5 * size, f"peak {peak / size:.2f}x the file size"
+    assert peak <= 1.0 * size, f"peak {peak / size:.2f}x the file size"
+
+
+@pytest.mark.parametrize("layout", ["dir", "zip"])
+def test_a_syntax_error_inside_a_record_peaks_like_one_between_records(tmp_path, layout):
+    # Both fall back to json.loads on the whole text; the error inside the first record
+    # must not first read the rest of the file in ever larger retries.
+    text = _copies_text()
+    first_comma = text.index(', "COPY000-')
+    inside = text.index('"log": [') + len('"log": [')
+    assert inside < first_comma
+    peaks = {}
+    for case, bad in {
+        "between": text[:first_comma] + " " + text[first_comma + 1:],
+        "inside": text[:inside] + "," + text[inside:],
+    }.items():
+        (tmp_path / case).mkdir()
+        peaks[case], outcome = _load_peak(_write_archive(tmp_path / case, bad, layout))
+        assert outcome[0] is json.JSONDecodeError
+    assert peaks["inside"] <= 1.1 * peaks["between"], peaks
 
 
 def test_load_memory_is_linear_in_dialogue_length(tmp_path):
