@@ -39,12 +39,11 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_template_flags(parser, ordered: bool, rendered: bool = True):
+def _add_template_flags(parser, ordered: bool):
     parser.add_argument("--unnatural", action="store_true",
                         help="use the flat '{value} as {slot} of {domain}' format")
-    if rendered:  # parse renders nothing, and the parser reads every subject
-        parser.add_argument("--no-paraphrase", action="store_true",
-                            help="repeat the same sentence subject instead of paraphrasing")
+    parser.add_argument("--no-paraphrase", action="store_true",
+                        help="repeat the same sentence subject instead of paraphrasing")
     parser.add_argument("--no-dontcare-concat", action="store_true",
                         help="emit dontcare as a separate sentence")
     if ordered:  # parse and eval read no order: gold summaries render in canonical order
@@ -56,7 +55,7 @@ def _add_template_flags(parser, ordered: bool, rendered: bool = True):
 def _config_from(args) -> TemplateConfig:
     return TemplateConfig(
         naturalness=not args.unnatural,
-        paraphrasing=not getattr(args, "no_paraphrase", False),
+        paraphrasing=not args.no_paraphrase,
         dontcare_concat=not args.no_dontcare_concat,
         domain_order=getattr(args, "order", "canonical"),
     )
@@ -92,7 +91,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_template_flags(synth, ordered=True)
 
     parse = commands.add_parser("parse", help="summary JSON on stdin -> state JSON on stdout")
-    _add_template_flags(parse, ordered=False, rendered=False)
+    # One grammar reads every natural variant, so the flat format is the only choice.
+    parse.add_argument("--unnatural", action="store_true",
+                       help="read the flat '{value} as {slot} of {domain}' format")
 
     sample = commands.add_parser("sample", help="print a few-shot split manifest")
     _add_corpus_flags(sample)
@@ -117,12 +118,10 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--out", required=True)
     evaluate.add_argument("--diagnostics", help="optional per-turn diagnostics JSONL")
 
-    fuzz = commands.add_parser("fuzz", help="run seeded round-trip trials")
+    fuzz = commands.add_parser("fuzz", help="run seeded round-trip trials, rotating five configs")
     fuzz.add_argument("--trials", type=int, default=10000)
     fuzz.add_argument("--seed", type=int, default=0)
     fuzz.add_argument("--max-domains", type=int, help="default: every schema domain")
-    fuzz.add_argument("--all-configs", action="store_true",
-                      help="rotate through every natural template variant")
     return parser
 
 
@@ -147,7 +146,7 @@ def _cmd_parse(args, ontology) -> int:
     summary = payload["summary"] if isinstance(payload, dict) else payload
     if not isinstance(summary, str):
         raise StatesumError("parse input must be a JSON string or an object with a string 'summary'")
-    result = parse_summary(summary, ontology, _config_from(args))
+    result = parse_summary(summary, ontology, TemplateConfig(naturalness=not args.unnatural))
     json.dump({"state": result.state, "diagnostics": result.diagnostics}, sys.stdout)
     sys.stdout.write("\n")
     return EXIT_OK
@@ -191,13 +190,8 @@ def _cmd_fuzz(args, ontology) -> int:
         raise UsageError(f"--trials must be at least 1, got {args.trials}")
     if args.max_domains is not None and not 1 <= args.max_domains <= len(ontology.domains):
         raise UsageError(f"--max-domains must be in 1..{len(ontology.domains)}")
-    configs = [TemplateConfig()]
-    if args.all_configs:
-        configs = [
-            TemplateConfig(paraphrasing=p, dontcare_concat=c)
-            for p in (True, False)
-            for c in (True, False)
-        ]
+    configs = [TemplateConfig(paraphrasing=p, dontcare_concat=c) for p in (True, False)
+               for c in (True, False)] + [TemplateConfig(naturalness=False)]
     failures = 0
     for seed in range(args.seed, args.seed + args.trials):
         state = random_state(ontology, seed=seed, max_domains=args.max_domains)

@@ -71,6 +71,8 @@ class StateExtractor:
     first phrase that any template puts before or after a value, or at one of
     the renderer's joiners (``", which "``, ``" and "``, the conjunction). The
     sentence frame comes from ``summarize``'s constants, which the renderer writes.
+    One grammar reads all four natural variants: every subject, and dontcare in
+    the domain's sentence or in one of its own.
     """
 
     def __init__(self, ontology: Ontology):
@@ -139,17 +141,12 @@ class StateExtractor:
         return clean_value(tail[: m.start()] if m else tail)
 
     def parse_domain_sentence(
-        self,
-        fragment: str,
-        domain: DomainSpec,
-        one_sentence: bool = True,
-        diagnostics: list[str] | None = None,
+        self, fragment: str, domain: DomainSpec, diagnostics: list[str] | None = None
     ) -> DialogueState:
-        """Extract this domain's slots from its sentence fragment."""
+        """Extract this domain's slots: slot phrases from the fragment's first sentence
+        (no phrase or value holds a '.'), dontcare nouns from either sentence."""
         diags = diagnostics if diagnostics is not None else []
-        # With dontcare in a separate sentence, slot phrases live in the first
-        # sentence only; the dontcare scan always sees the whole fragment.
-        main = fragment if one_sentence else fragment.split(".", 1)[0]
+        main = fragment.split(".", 1)[0]
         state: DialogueState = {}
 
         for rule in self._rules[domain.domain_name]:
@@ -222,7 +219,8 @@ class StateExtractor:
         return result
 
     def parse(self, summary: str, cfg: TemplateConfig = TemplateConfig()) -> ParseResult:
-        """One-pass extraction of the full state from a summary."""
+        """One-pass extraction of the full state from a summary. Of ``cfg`` only
+        ``naturalness`` is read, to pick the natural or the flat grammar."""
         self.parses += 1
         if not cfg.naturalness:
             return self._parse_unnatural(summary)
@@ -230,10 +228,7 @@ class StateExtractor:
         result = ParseResult(diagnostics=diagnostics)
         for domain_name, fragment in assigned.items():
             partial = self.parse_domain_sentence(
-                fragment,
-                self.ontology.domains[domain_name],
-                one_sentence=cfg.dontcare_concat,
-                diagnostics=result.diagnostics,
+                fragment, self.ontology.domains[domain_name], result.diagnostics
             )
             result.state.update(partial)  # domains are disjoint
         return result

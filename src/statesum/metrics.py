@@ -348,11 +348,12 @@ def evaluate_run(
 ) -> Report:
     """Parse and score a prediction file against the corpus gold states.
 
-    Each predicted summary is parsed exactly once. Gold summaries (for the
-    text-overlap metrics) are rendered with canonical domain order, which the
-    report records; while the gold state stays unchanged from one record to
-    the next (same slots, values and slot order), the previous gold summary
-    is reused instead of rendered again. Each report field equals the public
+    Each predicted summary is parsed exactly once, with the grammar that
+    ``cfg.naturalness`` picks; the other fields of ``cfg`` set only how gold
+    summaries (for the text-overlap metrics) are rendered, in canonical domain
+    order, which the report records. While the gold state stays unchanged
+    from one record to the next (same slots, values and slot order), the
+    previous gold summary is reused instead of rendered again. Each report field equals the public
     function of the same name, over the (predicted, gold) state pairs or the
     predicted and gold summaries in (dialogue_id, turn_index) order;
     ``rouge_n_f1`` is the per-turn mean, and ``error_counts`` tallies

@@ -186,7 +186,7 @@ def _parse_slot(domain_name: str, slot_name: str, raw: dict, index: int) -> Slot
     if kind == "count" and "{unit}" in template and (not unit[0] or not unit[1]):
         raise SchemaError(f"slot {slot_name!r}: count slot needs unit [singular, plural]")
 
-    return SlotSpec(
+    spec = SlotSpec(
         slot_name=slot_name,
         domain=domain_name,
         phrase_template=template,
@@ -199,6 +199,12 @@ def _parse_slot(domain_name: str, slot_name: str, raw: dict, index: int) -> Slot
         phrase_yes=str(raw.get("phrase_yes", "")),
         phrase_no=str(raw.get("phrase_no", "")),
     )
+    # The parser reads slot phrases up to the first '.', where the renderer ends a sentence.
+    for phrase in (spec.phrase_template, spec.unit_singular, spec.unit_plural, spec.phrase_yes,
+                   spec.phrase_no, spec.dontcare_noun):
+        if "." in phrase:
+            raise SchemaError(f"slot {slot_name!r}: phrase {phrase!r} contains '.'")
+    return spec
 
 
 def _parse_domain(domain_name: str, raw: dict) -> DomainSpec:
@@ -212,6 +218,8 @@ def _parse_domain(domain_name: str, raw: dict) -> DomainSpec:
         raise SchemaError(f"domain {domain_name!r}: missing noun_phrase or detect_phrase")
     if str(raw["detect_phrase"]) not in str(raw["noun_phrase"]):  # only the noun phrase is rendered
         raise SchemaError(f"domain {domain_name!r}: noun_phrase must contain detect_phrase")
+    if "." in str(raw["noun_phrase"]):  # the parser reads a sentence up to its first '.'
+        raise SchemaError(f"domain {domain_name!r}: noun_phrase contains '.'")
 
     slots = []
     for index, (slot_name, slot_raw) in enumerate(raw["slots"].items()):

@@ -1,5 +1,6 @@
 import io
 import json
+import re
 from importlib import resources
 
 import pytest
@@ -155,7 +156,7 @@ def test_export_then_eval(monkeypatch, capsys, tmp_path):
 
 def test_fuzz_ok(monkeypatch, capsys):
     code, out, _ = _run(
-        ["fuzz", "--trials", "50", "--seed", "0", "--all-configs"],
+        ["fuzz", "--trials", "50", "--seed", "0"],
         monkeypatch, capsys,
     )
     assert code == 0
@@ -188,6 +189,26 @@ def test_fuzz_defaults_to_every_domain_of_a_two_domain_schema(monkeypatch, capsy
     code, out, err = _run(["--ontology", str(schema), "fuzz", "--trials", "20"], monkeypatch, capsys)
     assert code == 0, err
     assert "20/20 round-trips ok" in out
+
+
+def test_fuzz_rotates_the_four_natural_configs_and_the_flat_one(monkeypatch, capsys, tmp_path):
+    # The flat parser splits "{value} as {slot} of {domain}" at the last " as ", so a
+    # slot named with " as " inside reads back only from the natural format: exactly
+    # the trials of the fifth config, the flat one, fail.
+    doc = yaml.safe_load(resources.files("statesum.data").joinpath("multiwoz_en.yaml").read_text())
+    doc["domains"]["attraction"]["slots"]["attraction-known as locally"] = {
+        "template": "known locally as {v}", "dontcare_noun": "the local name"}
+    doc["value_pools"]["attraction-known as locally"] = ["the cave"]
+    schema = tmp_path / "as.yaml"
+    schema.write_text(yaml.safe_dump(doc, sort_keys=False))
+    code, out, err = _run(
+        ["--ontology", str(schema), "fuzz", "--trials", "100"], monkeypatch, capsys
+    )
+    assert code == 3
+    seeds = [int(s) for s in re.findall(r"^round-trip failure at seed (\d+):", err, re.M)]
+    assert len(seeds) == len(err.splitlines()) > 0
+    assert {seed % 5 for seed in seeds} == {4}
+    assert f"{100 - len(seeds)}/100 round-trips ok" in out
 
 
 @pytest.mark.parametrize("command", ["sample", "export"])
@@ -225,20 +246,29 @@ def test_misspelt_domain_is_usage_error_before_the_load(monkeypatch, capsys, tmp
 
 
 @pytest.mark.parametrize("command", ["parse", "eval"])
-@pytest.mark.parametrize("flag", [["--order", "shuffled"], ["--seed", "3"], ["--no-paraphrase"]])
+@pytest.mark.parametrize("flag", [["--order", "shuffled"], ["--seed", "3"], ["--no-paraphrase"],
+                                  ["--no-dontcare-concat"]])
 def test_parse_and_eval_take_no_order_or_seed(monkeypatch, capsys, tmp_path, command, flag):
     argv = [command, *flag]
     if command == "eval":
         argv += ["--corpus", str(FIXTURE_CORPUS), "--predictions", str(tmp_path / "p.jsonl"),
                  "--out", str(tmp_path / "r.json")]
     code, out, err = _run(argv, monkeypatch, capsys, stdin=json.dumps({"summary": ""}))
-    if command == "eval" and flag == ["--no-paraphrase"]:
+    if command == "eval" and flag in (["--no-paraphrase"], ["--no-dontcare-concat"]):
         # eval's gold render reads it: the run gets as far as the missing predictions file.
         assert code == 2 and "p.jsonl" in err
         return
     assert code == 1
     assert out == ""
     assert f"unrecognized arguments: {' '.join(flag)}" in err
+
+
+def test_fuzz_takes_no_all_configs(monkeypatch, capsys):
+    # fuzz always rotates the four natural configs and the flat one.
+    code, out, err = _run(["fuzz", "--trials", "5", "--all-configs"], monkeypatch, capsys)
+    assert code == 1
+    assert out == ""
+    assert "unrecognized arguments: --all-configs" in err
 
 
 def test_export_of_an_empty_split_exits_2_without_output(monkeypatch, capsys, tmp_path):

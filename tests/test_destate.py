@@ -98,6 +98,34 @@ def test_unknown_dontcare_noun_reported(ont):
     assert any("weather" in d for d in result.diagnostics)
 
 
+NATURAL_CONFIGS = [
+    TemplateConfig(paraphrasing=p, dontcare_concat=c, domain_order=o)
+    for p in (True, False) for c in (True, False) for o in ("canonical", "shuffled")
+]
+
+
+def _natural_renders(ont, n_states):
+    """Each of ``n_states`` seeded states rendered under every natural config and order."""
+    for seed in range(n_states):
+        state = random_state(ont, seed=seed)
+        for cfg in NATURAL_CONFIGS:
+            yield state, state_to_summary(state, ont, cfg, random.Random(seed))
+
+
+def test_every_natural_config_parses_a_natural_render_alike(ont):
+    # One grammar reads all four natural variants: only naturalness picks the grammar.
+    for _, summary in _natural_renders(ont, 300):
+        results = [parse_summary(summary, ont, cfg) for cfg in NATURAL_CONFIGS]
+        assert all(result == results[0] for result in results), summary
+
+
+def test_lowercased_natural_render_parses_exactly(ont):
+    # Lowercased, "also," is no conjunction to end a value, but the sentence's '.' is.
+    for state, summary in _natural_renders(ont, 3000):
+        result = parse_summary(summary.lower(), ont)
+        assert result.state == state and not result.diagnostics, summary
+
+
 def test_idempotent_diagnostics(ont):
     text = "Hello. The user is looking for an attraction called kambar."
     first = parse_summary(text, ont)

@@ -1,6 +1,8 @@
 import re
+from importlib import resources
 
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -201,6 +203,29 @@ def test_bad_template_rejected(tmp_path):
     path = tmp_path / "schema.yaml"
     path.write_text(MINIMAL_SCHEMA.replace("called {v}", "called {v} or {v}"))
     with pytest.raises(SchemaError, match="exactly one"):
+        load_ontology(path)
+
+
+@pytest.mark.parametrize("domain, slot, key, phrase, message", [
+    ("restaurant", "restaurant-book time", "template", "at {v} o.c.",
+     "slot 'restaurant-book time': phrase 'at {v} o.c.' contains '.'"),
+    ("hotel", "hotel-book stay", "unit", ["day", "days incl. tax"],
+     "slot 'hotel-book stay': phrase 'days incl. tax' contains '.'"),
+    ("hotel", "hotel-parking", "phrase_no", "has no parking (approx.)",
+     "slot 'hotel-parking': phrase 'has no parking (approx.)' contains '.'"),
+    ("hotel", "hotel-book people", "dontcare_noun", "the no. of people",
+     "slot 'hotel-book people': phrase 'the no. of people' contains '.'"),
+    ("train", None, "noun_phrase", "a train, e.g. a sleeper",
+     "domain 'train': noun_phrase contains '.'"),
+], ids=["template", "unit", "phrase_no", "dontcare_noun", "noun_phrase"])
+def test_rendered_phrase_holding_a_period_rejected(tmp_path, domain, slot, key, phrase, message):
+    # The parser reads a domain's slot phrases up to its sentence's first '.'.
+    doc = yaml.safe_load(resources.files("statesum.data").joinpath("multiwoz_en.yaml").read_text())
+    entry = doc["domains"][domain]
+    (entry["slots"][slot] if slot else entry)[key] = phrase
+    path = tmp_path / "schema.yaml"
+    path.write_text(yaml.safe_dump(doc, sort_keys=False))
+    with pytest.raises(SchemaError, match=re.escape(message)):
         load_ontology(path)
 
 
