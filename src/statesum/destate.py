@@ -72,7 +72,8 @@ class StateExtractor:
     the renderer's joiners (``", which "``, ``" and "``, the conjunction). The
     sentence frame comes from ``summarize``'s constants, which the renderer writes.
     One grammar reads all four natural variants: every subject, and dontcare in
-    the domain's sentence or in one of its own.
+    the domain's sentence or in one of its own. A domain's sentence is the one
+    holding its noun phrase without the leading "a " or "an ".
     """
 
     def __init__(self, ontology: Ontology):
@@ -97,6 +98,9 @@ class StateExtractor:
             "|".join(re.escape(p) for p in _boundary_phrases())
         )
         self._terminators = re.compile("|".join(re.escape(t) for t in terminators))
+        self._phrases = {
+            name: re.sub("^an? ", "", d.noun_phrase) for name, d in ontology.domains.items()
+        }
         self._nouns = {
             domain.domain_name: {spec.dontcare_noun: spec.slot_name for spec in domain.slots}
             for domain in ontology.domains.values()
@@ -114,16 +118,16 @@ class StateExtractor:
         assigned: dict[str, str] = {}
         diagnostics: list[str] = []
         claims: dict[int, list[str]] = {}
-        for domain in self.ontology.domains.values():
+        for name, phrase in self._phrases.items():
             for i, fragment in enumerate(fragments):
-                if domain.domain_phrase in fragment:
-                    assigned[domain.domain_name] = fragment
-                    claims.setdefault(i, []).append(domain.domain_name)
+                if phrase in fragment:
+                    assigned[name] = fragment
+                    claims.setdefault(i, []).append(name)
                     break
         for i, fragment in enumerate(fragments):
             owners = claims.get(i, [])
             if not owners:
-                if any(d.domain_phrase in fragment for d in self.ontology.domains.values()):
+                if any(phrase in fragment for phrase in self._phrases.values()):
                     diagnostics.append(f"repeated domain fragment ignored: {fragment.strip()!r}")
                 else:
                     diagnostics.append(f"no domain phrase matched: {fragment.strip()!r}")

@@ -30,7 +30,7 @@ VALUE_KINDS = (
 )
 
 _SLOT_KEYS = ("kind", "template", "unit", "phrase_yes", "phrase_no", "clause", "front_when_an",
-              "dontcare_noun", "position", "match")  # older schemas may hold `match`: ignored
+              "dontcare_noun")
 
 #: A dialogue state: slot name -> literal value or DONTCARE.
 DialogueState = dict[str, str]
@@ -106,11 +106,10 @@ class SlotSpec:
 
 @dataclass(frozen=True)
 class DomainSpec:
-    """One domain: its sentence noun phrase, detection phrase, and slots."""
+    """One domain: its sentence noun phrase (found by the parser without its a/an) and slots."""
 
     domain_name: str
     noun_phrase: str
-    domain_phrase: str
     slots: tuple[SlotSpec, ...]
 
 
@@ -146,7 +145,7 @@ class Ontology:
         return tuple(self._slots.values())
 
 
-def _parse_slot(domain_name: str, slot_name: str, raw: dict, index: int) -> SlotSpec:
+def _parse_slot(domain_name: str, slot_name: str, raw: dict) -> SlotSpec:
     if not isinstance(raw, dict):
         raise SchemaError(f"slot {slot_name!r}: expected a mapping")
     if unknown := [str(key) for key in raw if key not in _SLOT_KEYS]:  # a misspelt key fails
@@ -155,15 +154,21 @@ def _parse_slot(domain_name: str, slot_name: str, raw: dict, index: int) -> Slot
         raise SchemaError(
             f"slot {slot_name!r}: name must have the form '{domain_name}-<slot>'"
         )
+    # The flat format splits at ", " and an entry at its last " as ".
+    if "," in slot_name or " as " in f" {slot_name[len(domain_name) + 1:]} ":
+        raise SchemaError(f"slot {slot_name!r}: name must not hold ',' or the word 'as'")
     kind = raw.get("kind", "free_text")
     if kind not in VALUE_KINDS:
         raise SchemaError(f"slot {slot_name!r}: unknown kind {kind!r}")
-    position = raw.get("position", index)  # optional: the listing order is the slot order
-    if type(position) is not int or position != index:
-        raise SchemaError(f"slot {slot_name!r}: position must equal its list index {index}")
+    for key in ("clause", "front_when_an"):
+        if type(raw.get(key, False)) is not bool:
+            raise SchemaError(f"slot {slot_name!r}: {key} must be true or false")
+    unit = raw.get("unit", ("", ""))
+    if "unit" in raw and not (type(unit) is list and len(unit) == 2
+                              and all(type(u) is str and u for u in unit)):
+        raise SchemaError(f"slot {slot_name!r}: unit must be a list of two non-empty strings")
 
     template = raw.get("template", "")
-    unit = raw.get("unit") or ("", "")
     if kind == "boolean_yes_no":
         if not raw.get("phrase_yes") or not raw.get("phrase_no"):
             raise SchemaError(f"slot {slot_name!r}: boolean slot needs phrase_yes/phrase_no")
@@ -183,7 +188,7 @@ def _parse_slot(domain_name: str, slot_name: str, raw: dict, index: int) -> Slot
                 f"slot {slot_name!r}: template needs literal text before {{v}}, "
                 "optionally ending in '{a} '"
             )
-    if kind == "count" and "{unit}" in template and (not unit[0] or not unit[1]):
+    if kind == "count" and "{unit}" in template and "unit" not in raw:
         raise SchemaError(f"slot {slot_name!r}: count slot needs unit [singular, plural]")
 
     spec = SlotSpec(
@@ -192,10 +197,10 @@ def _parse_slot(domain_name: str, slot_name: str, raw: dict, index: int) -> Slot
         phrase_template=template,
         dontcare_noun=str(raw.get("dontcare_noun", "")),
         value_kind=kind,
-        clause=bool(raw.get("clause", False)),
-        front_when_an=bool(raw.get("front_when_an", False)),
-        unit_singular=str(unit[0]),
-        unit_plural=str(unit[1]),
+        clause=raw.get("clause", False),
+        front_when_an=raw.get("front_when_an", False),
+        unit_singular=unit[0],
+        unit_plural=unit[1],
         phrase_yes=str(raw.get("phrase_yes", "")),
         phrase_no=str(raw.get("phrase_no", "")),
     )
@@ -212,18 +217,16 @@ def _parse_domain(domain_name: str, raw: dict) -> DomainSpec:
         raise SchemaError(f"unknown domain {domain_name!r}")
     if not isinstance(raw, dict) or not raw.get("slots"):
         raise SchemaError(f"domain {domain_name!r}: missing slots")
+    if unknown := [str(key) for key in raw if key not in ("noun_phrase", "slots")]:
+        raise SchemaError(f"domain {domain_name!r}: unknown key(s) {', '.join(unknown)}")
     if not isinstance(raw["slots"], dict):
         raise SchemaError(f"domain {domain_name!r}: slots must be a mapping")
-    if not raw.get("noun_phrase") or not raw.get("detect_phrase"):
-        raise SchemaError(f"domain {domain_name!r}: missing noun_phrase or detect_phrase")
-    if str(raw["detect_phrase"]) not in str(raw["noun_phrase"]):  # only the noun phrase is rendered
-        raise SchemaError(f"domain {domain_name!r}: noun_phrase must contain detect_phrase")
+    if not raw.get("noun_phrase"):
+        raise SchemaError(f"domain {domain_name!r}: missing noun_phrase")
     if "." in str(raw["noun_phrase"]):  # the parser reads a sentence up to its first '.'
         raise SchemaError(f"domain {domain_name!r}: noun_phrase contains '.'")
 
-    slots = []
-    for index, (slot_name, slot_raw) in enumerate(raw["slots"].items()):
-        slots.append(_parse_slot(domain_name, str(slot_name), slot_raw, index))
+    slots = [_parse_slot(domain_name, str(name), entry) for name, entry in raw["slots"].items()]
     nouns = [s.dontcare_noun for s in slots]
     if "" in nouns or len(set(nouns)) != len(nouns):
         raise SchemaError(f"domain {domain_name!r}: dontcare nouns must be unique and nonempty")
@@ -231,7 +234,6 @@ def _parse_domain(domain_name: str, raw: dict) -> DomainSpec:
     return DomainSpec(
         domain_name=domain_name,
         noun_phrase=str(raw["noun_phrase"]),
-        domain_phrase=str(raw["detect_phrase"]),
         slots=tuple(slots),
     )
 
@@ -239,6 +241,8 @@ def _parse_domain(domain_name: str, raw: dict) -> DomainSpec:
 def _build_ontology(doc: dict) -> Ontology:
     if not isinstance(doc, dict):
         raise SchemaError("schema root must be a mapping")
+    if unknown := [str(key) for key in doc if key not in ("domains", "value_pools")]:
+        raise SchemaError(f"schema: unknown key(s) {', '.join(unknown)}")
     raw_domains = doc.get("domains")
     if not raw_domains:
         raise SchemaError("schema has no domains")

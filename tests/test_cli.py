@@ -192,14 +192,12 @@ def test_fuzz_defaults_to_every_domain_of_a_two_domain_schema(monkeypatch, capsy
 
 
 def test_fuzz_rotates_the_four_natural_configs_and_the_flat_one(monkeypatch, capsys, tmp_path):
-    # The flat parser splits "{value} as {slot} of {domain}" at the last " as ", so a
-    # slot named with " as " inside reads back only from the natural format: exactly
-    # the trials of the fifth config, the flat one, fail.
+    # A natural sentence ends a value at " and ", while the flat format splits only at
+    # ", ", so a restaurant-name value holding " and " reads back only from the flat
+    # format: exactly the trials of the first four configs, the natural ones, fail.
     doc = yaml.safe_load(resources.files("statesum.data").joinpath("multiwoz_en.yaml").read_text())
-    doc["domains"]["attraction"]["slots"]["attraction-known as locally"] = {
-        "template": "known locally as {v}", "dontcare_noun": "the local name"}
-    doc["value_pools"]["attraction-known as locally"] = ["the cave"]
-    schema = tmp_path / "as.yaml"
+    doc["value_pools"]["restaurant-name"] = ["fish and chips"]
+    schema = tmp_path / "and.yaml"
     schema.write_text(yaml.safe_dump(doc, sort_keys=False))
     code, out, err = _run(
         ["--ontology", str(schema), "fuzz", "--trials", "100"], monkeypatch, capsys
@@ -207,7 +205,7 @@ def test_fuzz_rotates_the_four_natural_configs_and_the_flat_one(monkeypatch, cap
     assert code == 3
     seeds = [int(s) for s in re.findall(r"^round-trip failure at seed (\d+):", err, re.M)]
     assert len(seeds) == len(err.splitlines()) > 0
-    assert {seed % 5 for seed in seeds} == {4}
+    assert {seed % 5 for seed in seeds} == {0, 1, 2, 3}
     assert f"{100 - len(seeds)}/100 round-trips ok" in out
 
 
@@ -340,7 +338,6 @@ def test_schema_with_non_integer_position_exits_2(monkeypatch, capsys, tmp_path)
         "domains:\n"
         "  attraction:\n"
         "    noun_phrase: an attraction\n"
-        "    detect_phrase: attraction\n"
         "    slots:\n"
         "      attraction-name: {position: abc, template: 'called {v}', dontcare_noun: the name}\n"
     )
@@ -348,7 +345,7 @@ def test_schema_with_non_integer_position_exits_2(monkeypatch, capsys, tmp_path)
         ["--ontology", str(schema), "synth"], monkeypatch, capsys, stdin=json.dumps({})
     )
     assert code == 2
-    assert "'attraction-name': position must equal its list index 0" in err
+    assert "slot 'attraction-name': unknown key(s) position" in err
 
 
 @pytest.mark.parametrize("template", ["called {v} {where}", "called {v} }", "called {v[0]}"])
@@ -358,9 +355,8 @@ def test_schema_with_unknown_template_hole_exits_2(monkeypatch, capsys, tmp_path
         "domains:\n"
         "  attraction:\n"
         "    noun_phrase: an attraction\n"
-        "    detect_phrase: attraction\n"
         "    slots:\n"
-        f"      attraction-name: {{position: 0, template: '{template}', dontcare_noun: the name}}\n"
+        f"      attraction-name: {{template: '{template}', dontcare_noun: the name}}\n"
     )
     state = {"attraction-name": "byard art"}
     code, _, err = _run(
@@ -373,9 +369,8 @@ def test_schema_with_unknown_template_hole_exits_2(monkeypatch, capsys, tmp_path
 _ATTRACTION_DOMAIN = (
     "  attraction:\n"
     "    noun_phrase: an attraction\n"
-    "    detect_phrase: attraction\n"
 )
-_NAME_SLOT = "attraction-name: {position: 0, template: 'called {v}', dontcare_noun: the name}"
+_NAME_SLOT = "attraction-name: {template: 'called {v}', dontcare_noun: the name}"
 
 
 @pytest.mark.parametrize(
@@ -396,11 +391,6 @@ _NAME_SLOT = "attraction-name: {position: 0, template: 'called {v}', dontcare_no
             "value_pools:\n  attraction-name: byard art\n",
             "value_pools must map slot names to lists",
         ),
-        (  # the renderer writes only the noun phrase, so "sight" is never found
-            "domains:\n" + _ATTRACTION_DOMAIN.replace("detect_phrase: attraction", "detect_phrase: sight")
-            + f"    slots:\n      {_NAME_SLOT}\n",
-            "'attraction': noun_phrase must contain detect_phrase",
-        ),
         *(  # a misspelt slot key would otherwise fall back to its default
             (
                 "domains:\n" + _ATTRACTION_DOMAIN + "    slots:\n      "
@@ -410,7 +400,7 @@ _NAME_SLOT = "attraction-name: {position: 0, template: 'called {v}', dontcare_no
             for key, value in (("knd", "count"), ("clasue", "true"), ("front_when_a", "true"))
         ),
     ],
-    ids=["domains-list", "slots-list", "value-pools-list", "value-pool-string", "detect-phrase",
+    ids=["domains-list", "slots-list", "value-pools-list", "value-pool-string",
          "knd", "clasue", "front_when_a"],
 )
 def test_schema_with_non_mapping_section_exits_2(monkeypatch, capsys, tmp_path, text, message):
@@ -420,6 +410,40 @@ def test_schema_with_non_mapping_section_exits_2(monkeypatch, capsys, tmp_path, 
         ["--ontology", str(schema), "synth"], monkeypatch, capsys, stdin=json.dumps({})
     )
     assert code == 2
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "domain, slot, key, value, message",
+    [
+        *(
+            ("hotel", "hotel-stars", "unit", unit,
+             "slot 'hotel-stars': unit must be a list of two non-empty strings")
+            for unit in (["star"], {"a": 1}, "star", ["star", ""], [1, 2])
+        ),
+        ("hotel", "hotel-parking", "clause", "false",
+         "slot 'hotel-parking': clause must be true or false"),
+        ("attraction", "attraction-type", "front_when_an", "true",
+         "slot 'attraction-type': front_when_an must be true or false"),
+    ],
+    ids=["unit-one-word", "unit-mapping", "unit-string", "unit-empty-plural", "unit-numbers",
+         "clause-string", "front_when_an-string"],
+)
+def test_schema_with_mistyped_slot_value_exits_2(
+    monkeypatch, capsys, tmp_path, domain, slot, key, value, message
+):
+    # All but the empty plural used to load: a unit string gave the unit words "s" and
+    # "t", a one-word unit crashed the renderer, and the string "false" read as true.
+    doc = yaml.safe_load(resources.files("statesum.data").joinpath("multiwoz_en.yaml").read_text())
+    doc["domains"][domain]["slots"][slot][key] = value
+    schema = tmp_path / "schema.yaml"
+    schema.write_text(yaml.safe_dump(doc, sort_keys=False))
+    code, out, err = _run(
+        ["--ontology", str(schema), "synth"], monkeypatch, capsys,
+        stdin=json.dumps({"hotel-stars": "4", "hotel-parking": "yes"}),
+    )
+    assert code == 2
+    assert out == ""
     assert message in err
 
 

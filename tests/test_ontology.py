@@ -28,12 +28,9 @@ MINIMAL_SCHEMA = """
 domains:
   attraction:
     noun_phrase: an attraction
-    detect_phrase: attraction
     slots:
       attraction-name:
-        position: 0
         template: "called {v}"
-        match: {prefix: " called "}
         dontcare_noun: the name
 """
 
@@ -80,24 +77,20 @@ CUSTOM_SCHEMA = """
 domains:
   attraction:
     noun_phrase: a sight
-    detect_phrase: sight
     slots:
-      attraction-type: {position: 0, template: "that is {a} {v}", dontcare_noun: the kind}
-      attraction-name: {position: 1, template: "named {v}", dontcare_noun: the name}
-      attraction-area: {position: 2, template: "near the {v}", dontcare_noun: the area}
+      attraction-type: {template: "that is {a} {v}", dontcare_noun: the kind}
+      attraction-name: {template: "named {v}", dontcare_noun: the name}
+      attraction-area: {template: "near the {v}", dontcare_noun: the area}
   restaurant:
     noun_phrase: somewhere to eat
-    detect_phrase: somewhere to eat
     slots:
       restaurant-book people:
-        position: 0
         kind: count
         template: "seating {v} {unit}"
         unit: [guest, guests]
         dontcare_noun: the party size
-      restaurant-food: {position: 1, template: "cooking {v} dishes", dontcare_noun: the cuisine}
+      restaurant-food: {template: "cooking {v} dishes", dontcare_noun: the cuisine}
       restaurant-terrace:
-        position: 2
         kind: boolean_yes_no
         clause: true
         phrase_yes: has a terrace
@@ -132,33 +125,27 @@ def test_custom_schema_round_trips(tmp_path):
     ]
 
 
-def test_position_keys_in_list_order_change_nothing(tmp_path):
-    with_positions, without = tmp_path / "with.yaml", tmp_path / "without.yaml"
-    with_positions.write_text(CUSTOM_SCHEMA)
-    without.write_text(re.sub(r"position: \d+(, |\n +)", "", CUSTOM_SCHEMA))
-    assert "position" not in without.read_text()
-    assert load_ontology(with_positions).domains == load_ontology(without).domains
-
-
 @pytest.mark.parametrize(
     "type_position, name_position",
     [("1", "0"), ("abc", "1"), ("0.0", "1"), ("true", "1"), ("null", "1")],
     ids=["swapped", "text", "float", "bool", "null"],
 )
 def test_position_other_than_the_list_index_rejected(tmp_path, type_position, name_position):
-    # The listing order is the slot order: a position that disagrees fails, never reorders.
+    # The listing order is the slot order: a `position` key, of any value, fails and never
+    # reorders.
     path = tmp_path / "schema.yaml"
     path.write_text(
-        CUSTOM_SCHEMA.replace("type: {position: 0,", f"type: {{position: {type_position},")
-        .replace("name: {position: 1,", f"name: {{position: {name_position},")
+        CUSTOM_SCHEMA.replace("type: {template:", f"type: {{position: {type_position}, template:")
+        .replace("name: {template:", f"name: {{position: {name_position}, template:")
     )
-    with pytest.raises(SchemaError, match="'attraction-type': position must equal its list index 0"):
+    message = "slot 'attraction-type': unknown key(s) position"
+    with pytest.raises(SchemaError, match=re.escape(message)):
         load_ontology(path)
 
 
 def test_categorical_kind_rejected(tmp_path):
     path = tmp_path / "schema.yaml"
-    path.write_text(MINIMAL_SCHEMA.replace("position: 0", "kind: categorical"))
+    path.write_text(MINIMAL_SCHEMA.replace("template:", "kind: categorical\n        template:"))
     with pytest.raises(SchemaError, match="'attraction-name': unknown kind 'categorical'"):
         load_ontology(path)
 
@@ -174,9 +161,7 @@ def test_template_without_literal_head_rejected(tmp_path):
 def test_duplicate_slot_rejected(tmp_path):
     duplicated = MINIMAL_SCHEMA + """
       attraction-name:
-        position: 1
         template: "named {v}"
-        match: {prefix: " named "}
         dontcare_noun: the title
 """
     path = tmp_path / "schema.yaml"
@@ -225,6 +210,44 @@ def test_rendered_phrase_holding_a_period_rejected(tmp_path, domain, slot, key, 
     (entry["slots"][slot] if slot else entry)[key] = phrase
     path = tmp_path / "schema.yaml"
     path.write_text(yaml.safe_dump(doc, sort_keys=False))
+    with pytest.raises(SchemaError, match=re.escape(message)):
+        load_ontology(path)
+
+
+@pytest.mark.parametrize("where, key, value, message", [
+    (("domains", "hotel", "slots", "hotel-stars"), "position", 2,
+     "slot 'hotel-stars': unknown key(s) position"),
+    (("domains", "hotel", "slots", "hotel-stars"), "match", {"prefix": " ranked "},
+     "slot 'hotel-stars': unknown key(s) match"),
+    (("domains", "train"), "detect_phrase", "train", "domain 'train': unknown key(s) detect_phrase"),
+    (("domains", "train"), "noun_phrse", "a train", "domain 'train': unknown key(s) noun_phrse"),
+    ((), "value_pool", {}, "schema: unknown key(s) value_pool"),
+], ids=["position", "match", "detect_phrase", "noun_phrse", "value_pool"])
+def test_removed_or_misspelt_key_rejected(tmp_path, where, key, value, message):
+    # A key the loader does not read would be silently ignored, at every level.
+    doc = yaml.safe_load(resources.files("statesum.data").joinpath("multiwoz_en.yaml").read_text())
+    entry = doc
+    for step in where:
+        entry = entry[step]
+    entry[key] = value
+    path = tmp_path / "schema.yaml"
+    path.write_text(yaml.safe_dump(doc, sort_keys=False))
+    with pytest.raises(SchemaError, match=re.escape(message)):
+        load_ontology(path)
+
+
+@pytest.mark.parametrize(
+    "name", ["attraction-known as locally", "attraction-as known", "attraction-area, or zone"]
+)
+def test_slot_name_holding_a_comma_or_the_word_as_rejected(tmp_path, name):
+    # The flat format splits at ", " and an entry "{value} as {name} of {domain}" at its
+    # last " as ": "attraction-known as locally" read back as "attraction-locally".
+    doc = yaml.safe_load(resources.files("statesum.data").joinpath("multiwoz_en.yaml").read_text())
+    doc["domains"]["attraction"]["slots"][name] = {"template": "known locally as {v}",
+                                                   "dontcare_noun": "the local name"}
+    path = tmp_path / "schema.yaml"
+    path.write_text(yaml.safe_dump(doc, sort_keys=False))
+    message = f"slot {name!r}: name must not hold ',' or the word 'as'"
     with pytest.raises(SchemaError, match=re.escape(message)):
         load_ontology(path)
 
