@@ -63,14 +63,6 @@ class Corpus:
     def dialogue_map(self) -> dict[str, Dialogue]:
         return {d.dialogue_id: d for split in self.splits.values() for d in split}
 
-    def turn_map(self) -> dict[tuple[str, int], DialogueState]:
-        return {
-            (d.dialogue_id, index): state
-            for split in self.splits.values()
-            for d in split
-            for index, state in enumerate(d.states)
-        }
-
 
 @dataclass
 class FewShotSplit:
@@ -96,7 +88,7 @@ class FewShotSplit:
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class PredictionRecord:
     """One model output, joined to a corpus turn by (dialogue_id, turn_index)."""
 

@@ -73,24 +73,24 @@ class Report:
 
 
 def _state_scores(
-    pairs: list[tuple[DialogueState, DialogueState]],
+    diffs: list[tuple[list[str], DialogueState]],
     domains: Iterable[str] = (),
     ontology: Ontology | None = None,
 ) -> tuple[float, dict[str, float], tuple[float, float]]:
     """All-domain JGA, JGA for each of ``domains`` and (active, absent) slot
-    accuracy over the slots of ``ontology`` (none without one), all read off
-    one ``differing_slots`` per pair. A pair is wrong for a domain when a
-    differing slot is named ``domain + "-..."``, in the schema or not; a
-    schema slot is active in a pair when the gold state has it, else absent,
-    and missed when it differs.
+    accuracy over the slots of ``ontology`` (none without one), from each
+    turn's ``(differing_slots(predicted, gold), gold)``: a turn holds no
+    predicted state. A turn is wrong for a domain when a differing slot is
+    named ``domain + "-..."``, in the schema or not; a schema slot is active
+    in a turn when the gold state has it, else absent, and missed when it
+    differs.
     """
     slots = frozenset(spec.slot_name for spec in ontology.all_slots()) if ontology else frozenset()
     prefixes = {domain: domain + "-" for domain in domains}
     wrong = dict.fromkeys(prefixes, 0)
     all_wrong = active = active_missed = absent_missed = 0
-    for predicted, gold in pairs:
+    for diff, gold in diffs:
         active += len(slots.intersection(gold))
-        diff = differing_slots(predicted, gold)
         if diff:
             all_wrong += 1
             for domain, prefix in prefixes.items():
@@ -98,7 +98,7 @@ def _state_scores(
             missed = slots.intersection(diff)
             active_missed += len(missed.intersection(gold))
             absent_missed += len(missed.difference(gold))
-    n = len(pairs)
+    n = len(diffs)
     absent = n * len(slots) - active
     rate = lambda hit, total: hit / total if total else 1.0
     return (
@@ -119,9 +119,10 @@ def joint_goal_accuracy(
     """
     if not pairs:
         raise ValueError("joint goal accuracy is undefined for zero turns")
+    diffs = [(differing_slots(predicted, gold), gold) for predicted, gold in pairs]
     if domain_filter is None:
-        return _state_scores(pairs)[0]
-    return _state_scores(pairs, (domain_filter,))[1][domain_filter]
+        return _state_scores(diffs)[0]
+    return _state_scores(diffs, (domain_filter,))[1][domain_filter]
 
 
 def slot_accuracy(
@@ -131,7 +132,7 @@ def slot_accuracy(
     """(active-slot accuracy, absent-slot accuracy) over the full slot universe."""
     if not pairs:
         raise ValueError("slot accuracy is undefined for zero turns")
-    return _state_scores(pairs, (), ontology)[2]
+    return _state_scores([(differing_slots(p, g), g) for p, g in pairs], (), ontology)[2]
 
 
 # -- n-gram overlap metrics ------------------------------------------------------
@@ -348,30 +349,32 @@ def evaluate_run(
 ) -> Report:
     """Parse and score a prediction file against the corpus gold states.
 
-    Each predicted summary is parsed exactly once, with the grammar that
-    ``cfg.naturalness`` picks; the other fields of ``cfg`` set only how gold
-    summaries (for the text-overlap metrics) are rendered, in canonical domain
-    order, which the report records. While the gold state stays unchanged
-    from one record to the next (same slots, values and slot order), the
-    previous gold summary is reused instead of rendered again. Each report field equals the public
-    function of the same name, over the (predicted, gold) state pairs or the
-    predicted and gold summaries in (dialogue_id, turn_index) order;
-    ``rouge_n_f1`` is the per-turn mean, and ``error_counts`` tallies
-    ``classify_errors``. JGA, per-domain JGA and slot accuracy come from one
-    ``differing_slots`` per state pair; ``classify_errors`` diffs the pair
-    again for the error tallies. Each summary pair is split and counted once
-    for orders 1-4, and ROUGE-1/2/4 reuse BLEU's cased counts; the pair is
-    lowercased and counted again only when a text is not ASCII or lowering
-    merges two tokens of the windows where the texts differ. A gold state the
-    schema rejects raises ``EvaluationError`` naming its turn.
+    A prediction joins the gold state ``states[turn_index]`` of the corpus
+    dialogue ``dialogue_id``. Each predicted summary is parsed exactly once,
+    with the grammar that ``cfg.naturalness`` picks; the other fields of
+    ``cfg`` set only how gold summaries (for the text-overlap metrics) are
+    rendered, in canonical domain order, which the report records. While the
+    gold state stays unchanged from one record to the next (same slots, values
+    and slot order), the previous gold summary is reused. Each report field
+    equals the public function of the same name, over the (predicted, gold)
+    state pairs or the predicted and gold summaries in (dialogue_id,
+    turn_index) order; ``rouge_n_f1`` is the per-turn mean, and
+    ``error_counts`` tallies ``classify_errors``. Each turn holds only its
+    ``differing_slots``, which JGA, per-domain JGA and slot accuracy read, its
+    gold state, and its gold summary (the prediction's string when the two are
+    equal). Each summary pair is split and counted once for orders 1-4, and
+    ROUGE-1/2/4 reuse BLEU's cased counts; the pair is lowercased and counted
+    again only when a text is not ASCII or lowering merges two tokens of the
+    windows where the texts differ. An unjoined prediction, or a gold state
+    the schema rejects, raises ``EvaluationError`` naming its turn.
     """
     diagnostics: list[str] = []
     records: list[PredictionRecord] = load_predictions(predictions_path, diagnostics)
-    gold_by_turn = corpus.turn_map()
+    gold_states = {dialogue_id: d.states for dialogue_id, d in corpus.dialogue_map().items()}
     unmatched = sorted(
         f"{r.dialogue_id}/{r.turn_index}"
         for r in records
-        if (r.dialogue_id, r.turn_index) not in gold_by_turn
+        if not 0 <= r.turn_index < len(gold_states.get(r.dialogue_id, ()))
     )
     if unmatched:
         raise EvaluationError(
@@ -381,15 +384,15 @@ def evaluate_run(
 
     extractor = StateExtractor(ontology)
     gold_cfg = replace(cfg, domain_order="canonical")
-    pairs, references = [], []
+    diffs, references = [], []
     error_counts = dict.fromkeys(ERROR_KINDS, 0)
     per_turn_diagnostics = []
     gold_state: DialogueState | None = None
     records.sort(key=lambda r: (r.dialogue_id, r.turn_index))
     for record in records:
-        gold = gold_by_turn[(record.dialogue_id, record.turn_index)]
+        gold = gold_states[record.dialogue_id][record.turn_index]
         parsed = extractor.parse(record.predicted_summary, cfg)
-        pairs.append((parsed.state, gold))
+        diffs.append((differing_slots(parsed.state, gold), gold))
         # The render follows the state's slot order, so a reuse needs that order too.
         if gold != gold_state or list(gold) != list(gold_state):
             gold_state = gold
@@ -398,7 +401,8 @@ def evaluate_run(
             except StateValidationError as exc:
                 where = f"{record.dialogue_id}/{record.turn_index}"
                 raise EvaluationError(f"{where}: gold state rejected by the schema: {exc}") from exc
-        references.append(reference)
+        summary = record.predicted_summary
+        references.append(summary if summary == reference else reference)  # equal texts: one copy
         for error in classify_errors(parsed.state, gold, ontology):
             error_counts[error.kind] += 1
         if parsed.diagnostics:
@@ -413,30 +417,33 @@ def evaluate_run(
                 f"{record.dialogue_id}/{record.turn_index}: {d}" for d in parsed.diagnostics
             )
 
-    if not pairs:
+    if not diffs:
         raise EvaluationError("prediction file contains no records")
 
-    # One count per pair serves BLEU and ROUGE. ROUGE is a running sum in
-    # record order: sum() rounds differently on Python 3.12+.
-    bleu_counts = []
+    # One count per pair serves BLEU and ROUGE, and none is kept. ROUGE is a
+    # running sum in record order: sum() rounds differently on Python 3.12+.
     rouge_sums = [0.0, 0.0, 0.0]
-    for record, reference in zip(records, references):
-        cased, (cand_len, ref_len, overlaps) = _ngram_counts(
-            record.predicted_summary, reference, _BLEU_ORDERS, True
-        )
-        bleu_counts.append(cased)
-        for i, n in enumerate(_ROUGE_ORDERS):
-            rouge_sums[i] += _rouge_f1(cand_len, ref_len, n, overlaps[n - 1])
-    jga, per_domain_jga, (true_acc, none_acc) = _state_scores(pairs, ontology.domains, ontology)
+
+    def cased_counts():
+        for record, reference in zip(records, references):
+            cased, (cand_len, ref_len, overlaps) = _ngram_counts(
+                record.predicted_summary, reference, _BLEU_ORDERS, True
+            )
+            for i, n in enumerate(_ROUGE_ORDERS):
+                rouge_sums[i] += _rouge_f1(cand_len, ref_len, n, overlaps[n - 1])
+            yield cased
+
+    bleu = _bleu(cased_counts())
+    jga, per_domain_jga, (true_acc, none_acc) = _state_scores(diffs, ontology.domains, ontology)
     report = Report(
-        n_turns=len(pairs),
+        n_turns=len(diffs),
         n_parses=extractor.parses,
         all_domain_jga=jga,
         per_domain_jga=per_domain_jga,
         slot_true_acc=true_acc,
         slot_none_acc=none_acc,
-        bleu4=_bleu(bleu_counts),
-        rouge_n_f1={n: total / len(pairs) for n, total in zip(_ROUGE_ORDERS, rouge_sums)},
+        bleu4=bleu,
+        rouge_n_f1={n: total / len(diffs) for n, total in zip(_ROUGE_ORDERS, rouge_sums)},
         error_counts=error_counts,
         diagnostics=diagnostics,
     )

@@ -297,13 +297,22 @@ def test_fuzz_failure_names_slot_and_terminator(monkeypatch, capsys, tmp_path):
 
 
 def test_console_script_entry_point():
+    import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    import statesum
+
+    # The child imports statesum from where this process did, installed or not.
+    source_root = str(Path(statesum.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source_root, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "statesum.cli", "fuzz", "--trials", "5", "--seed", "3"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "5/5 round-trips ok" in proc.stdout

@@ -1,5 +1,6 @@
 import json
 import tempfile
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -601,6 +602,16 @@ def test_evaluate_run_unjoined_prediction(mini_corpus, ont, tmp_path):
     ])
     with pytest.raises(EvaluationError, match="GHOST"):
         evaluate_run(preds, mini_corpus, ont)
+    # A known dialogue with a turn index off either end: -1 must not wrap
+    # around to the last state.
+    n_states = len(mini_corpus.dialogue_map()["PMUL0001.json"].states)
+    for turn_index in (-1, n_states):
+        _write_predictions(preds, [
+            {"dialogue_id": "PMUL0001.json", "turn_index": 0, "predicted_summary": "x"},
+            {"dialogue_id": "PMUL0001.json", "turn_index": turn_index, "predicted_summary": "x"},
+        ])
+        with pytest.raises(EvaluationError, match=f"1 predictions .*: PMUL0001.json/{turn_index}$"):
+            evaluate_run(preds, mini_corpus, ont)
 
 
 def test_report_bounds(mini_corpus, ont, tmp_path):
@@ -721,6 +732,34 @@ def test_evaluate_run_text_scores_equal_public_functions_and_oracles(ont, turns)
             expected += reference_rouge_n_f1(candidate, reference, n)
         assert report.rouge_n_f1[n] == total / len(turns)
         assert report.rouge_n_f1[n] == pytest.approx(expected / len(turns), abs=1e-12)
+
+
+def test_evaluate_run_peak_memory_is_small_against_the_predictions(ont, tmp_path):
+    # Criterion 8's input at a tenth of the size: every prediction is the exact
+    # gold render. Scoring holds per turn only the slot diff, the gold state
+    # and one copy of the equal texts, not the parsed state, a second copy of
+    # the text or the n-gram counts of every pair.
+    dialogues, rows = [], []
+    for d in range(100):
+        states = [random_state(ont, seed=d * 10 + t) for t in range(10)]
+        dialogues.append(Dialogue(f"GEN{d:04d}.json", states, lines=[], domains=frozenset()))
+        rows.extend(
+            {"dialogue_id": f"GEN{d:04d}.json", "turn_index": t,
+             "predicted_summary": state_to_summary(state, ont)}
+            for t, state in enumerate(states)
+        )
+    corpus = Corpus(splits={"train": [], "dev": [], "test": dialogues})
+    preds = tmp_path / "preds.jsonl"
+    _write_predictions(preds, rows)
+    size = preds.stat().st_size
+    tracemalloc.start()
+    try:
+        report = evaluate_run(preds, corpus, ont)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.n_turns == 1000 and report.all_domain_jga == 1.0
+    assert peak <= 2.5 * size, f"peak {peak / size:.2f}x the predictions file"
 
 
 GOLDEN_EVAL = Path(__file__).parent / "data" / "golden_eval"
