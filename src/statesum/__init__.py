@@ -1,5 +1,5 @@
-"""Bidirectional conversion between dialogue states and template summaries,
-plus the few-shot DST experiment harness built around it."""
+"""Bidirectional conversion between dialogue states and template summaries, plus the
+few-shot DST experiment harness built around it. The names imported below are the public API."""
 
 __version__ = "0.1.0"
 
@@ -58,47 +58,6 @@ from .metrics import (
     slot_accuracy,
 )
 
-__all__ = [
-    "DONTCARE",
-    "CorpusError",
-    "Corpus",
-    "Dialogue",
-    "DialogueState",
-    "DomainSpec",
-    "ErrorRecord",
-    "EvaluationError",
-    "FewShotSplit",
-    "GenerationError",
-    "Ontology",
-    "ParseResult",
-    "PredictionRecord",
-    "ProtocolError",
-    "Report",
-    "SchemaError",
-    "SlotSpec",
-    "StateExtractor",
-    "StateValidationError",
-    "StatesumError",
-    "TemplateConfig",
-    "bleu4",
-    "classify_errors",
-    "default_ontology",
-    "domain_counts",
-    "evaluate_run",
-    "export_training_file",
-    "joint_goal_accuracy",
-    "load_multiwoz",
-    "load_ontology",
-    "load_predictions",
-    "parse_summary",
-    "random_state",
-    "render_domain_sentence",
-    "render_slot_phrase",
-    "reserved_collisions",
-    "rouge_n_f1",
-    "sample_fewshot",
-    "slot_accuracy",
-    "state_to_summary",
-    "synthesize_labels",
-    "validate_state",
-]
+# The public names bound above, submodules excepted: `import *` and pydoc read this list.
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, type(errors))]

@@ -172,6 +172,8 @@ def _parse_slot(domain_name: str, slot_name: str, raw: dict) -> SlotSpec:
     if kind == "boolean_yes_no":
         if not raw.get("phrase_yes") or not raw.get("phrase_no"):
             raise SchemaError(f"slot {slot_name!r}: boolean slot needs phrase_yes/phrase_no")
+        if f" {raw['phrase_no']}" in f" {raw['phrase_yes']}":  # the parser probes "no" first
+            raise SchemaError(f"slot {slot_name!r}: phrase_no must not occur in phrase_yes")
     else:
         try:  # the renderer fills these holes only; a stray brace fails too
             template.format(v="", a="", unit="")

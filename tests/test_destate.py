@@ -4,10 +4,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import statesum
 from statesum import (
     DONTCARE,
     TemplateConfig,
+    default_ontology,
     parse_summary,
     random_state,
     reserved_collisions,
@@ -311,3 +315,32 @@ def test_value_pools_are_collision_free(ont):
     for slot_name, values in ont.value_pools.items():
         for value in values:
             assert collisions_of({slot_name: value}, ont) == [], (slot_name, value)
+
+
+_RENDERS = [
+    state_to_summary(random_state(default_ontology(), seed=seed), default_ontology(),
+                     TemplateConfig(paraphrasing=seed % 2 == 0, dontcare_concat=seed % 3 == 0,
+                                    naturalness=seed % 5 != 0))
+    for seed in range(60)
+]
+_RENDER_TOKENS = sorted({token for text in _RENDERS for token in text.split()})
+
+
+@st.composite
+def _span_replaced(draw):
+    text = draw(st.sampled_from(_RENDERS))
+    start = draw(st.integers(0, len(text)))
+    end = draw(st.integers(start, len(text)))
+    return text[:start] + draw(st.text(max_size=20) | st.sampled_from(_RENDER_TOKENS)) + text[end:]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    text=st.text() | st.lists(st.sampled_from(_RENDER_TOKENS), max_size=40).map(" ".join)
+    | _span_replaced(),
+    cfg=st.sampled_from([TemplateConfig(), TemplateConfig(naturalness=False)]),
+)
+def test_parse_never_raises(text, cfg):
+    # Arbitrary text, word salads of render tokens, and renders with a span replaced.
+    result = parse_summary(text, default_ontology(), cfg)
+    assert isinstance(result.state, dict) and isinstance(result.diagnostics, list)

@@ -214,6 +214,22 @@ def test_rendered_phrase_holding_a_period_rejected(tmp_path, domain, slot, key, 
         load_ontology(path)
 
 
+@pytest.mark.parametrize("phrase_yes, phrase_no", [
+    ("with free parking", "parking"),
+    ("has parking", "has parking"),
+], ids=["inside", "equal"])
+def test_boolean_no_phrase_inside_its_yes_phrase_rejected(tmp_path, phrase_yes, phrase_no):
+    # The parser probes the "no" phrase first, so every "yes" would read back as "no".
+    doc = yaml.safe_load(resources.files("statesum.data").joinpath("multiwoz_en.yaml").read_text())
+    doc["domains"]["hotel"]["slots"]["hotel-parking"].update(phrase_yes=phrase_yes,
+                                                            phrase_no=phrase_no)
+    path = tmp_path / "schema.yaml"
+    path.write_text(yaml.safe_dump(doc, sort_keys=False))
+    message = "slot 'hotel-parking': phrase_no must not occur in phrase_yes"
+    with pytest.raises(SchemaError, match=re.escape(message)):
+        load_ontology(path)
+
+
 @pytest.mark.parametrize("where, key, value, message", [
     (("domains", "hotel", "slots", "hotel-stars"), "position", 2,
      "slot 'hotel-stars': unknown key(s) position"),
