@@ -164,11 +164,10 @@ def _cmd_sample(args, ontology) -> int:
 
 def _cmd_export(args, ontology) -> int:
     corpus, split = _split_from(args)
-    diagnostics: list[str] = []
-    written = export_training_file(
-        split, corpus, ontology, _config_from(args), args.out, diagnostics
-    )
-    print(f"wrote {written} records to {args.out} ({len(diagnostics)} turns skipped)")
+    written = export_training_file(split, corpus, ontology, _config_from(args), args.out)
+    by_id = corpus.dialogue_map()
+    turns = sum(len(by_id[did].states) for did in {*split.pretrain_ids, *split.finetune_ids})
+    print(f"wrote {written} records to {args.out} ({turns - written} turns skipped)")
     return EXIT_OK
 
 

@@ -41,9 +41,10 @@ _CHUNK = 1 << 16  # characters of data.json read at a time
 
 @dataclass
 class Dialogue:
-    """``states[i]`` is the cumulative belief state after user turn ``i``. ``lines`` holds
-    two per turn, ``"system: …"`` (the reply before it) then ``"user: …"``, so the
-    history of turn ``i`` is ``"\\n".join(lines[: 2 * i + 2])``."""
+    """``states[i]`` is the cumulative belief state after user turn ``i``; a state equal to the
+    previous one, in the same key order, is the previous turn's object, so states are read-only.
+    ``lines`` holds two per turn, ``"system: …"`` (the reply before it) then ``"user: …"``, so
+    the history of turn ``i`` is ``"\\n".join(lines[: 2 * i + 2])``."""
 
     dialogue_id: str
     states: list[DialogueState]
@@ -169,8 +170,9 @@ def _state_from_metadata(metadata: dict, memo: dict) -> DialogueState:
     return state
 
 
-def _goal_domains(goal: dict) -> frozenset[str]:
-    return frozenset(d for d in SUPPORTED_DOMAINS if goal.get(d))
+def _goal_domains(goal: dict, memo: dict) -> frozenset[str]:
+    domains = frozenset(d for d in SUPPORTED_DOMAINS if goal.get(d))
+    return memo.setdefault(domains, domains)
 
 
 def _build_dialogue(dialogue_id: str, raw: dict, memo: dict) -> Dialogue:
@@ -194,11 +196,13 @@ def _build_dialogue(dialogue_id: str, raw: dict, memo: dict) -> Dialogue:
         metadata = system_reply.get("metadata") or {}
         if not isinstance(metadata, dict):
             raise CorpusError(f"turn {index}: metadata is not an object")
-        previous_system = logturns[2 * index - 1]["text"] if index > 0 else ""
-        lines.append(f"system: {previous_system}")
+        lines.append(f"system: {logturns[2 * index - 1]['text']}" if index else "system: ")
         lines.append(f"user: {user['text']}")
-        states.append(_state_from_metadata(metadata, memo))
-    return Dialogue(dialogue_id, states, lines, _goal_domains(goal))
+        state = _state_from_metadata(metadata, memo)
+        if states and state == states[-1] and list(state) == list(states[-1]):
+            state = states[-1]  # same key order too: shuffled and flat labels follow it
+        states.append(state)
+    return Dialogue(dialogue_id, states, lines, _goal_domains(goal, memo))
 
 
 @contextmanager
@@ -314,7 +318,7 @@ def load_multiwoz(path: str | Path) -> Corpus:
     if not path.exists():
         raise CorpusError(f"{path}: no such file or directory")
     built: dict[str, Dialogue | str] = {}  # a str is the diagnostic of a skipped record
-    memo: dict = {}  # (domain, infix, raw key, raw text value) -> (slot name, value)
+    memo: dict = {}  # (domain, infix, raw key, raw text) -> (slot, value); domain set -> itself
     with _open_archive(path) as (handle, dev_ids, test_ids):
         for dialogue_id, raw in _records(handle, path):
             try:
@@ -468,7 +472,7 @@ def export_training_file(
                     "split_role": roles[dialogue_id],
                     "history": "\n".join(dialogue.lines[: 2 * index + 2]),
                     "gold_summary": label,
-                    "gold_state": dict(state),
+                    "gold_state": state,
                 }
                 handle.write(json.dumps(record, ensure_ascii=False) + "\n")
                 written += 1

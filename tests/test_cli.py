@@ -154,6 +154,26 @@ def test_export_then_eval(monkeypatch, capsys, tmp_path):
     assert report["all_domain_jga"] == 1.0
 
 
+def test_export_counts_every_turn_of_a_dialogue_the_schema_rejects(monkeypatch, capsys, tmp_path):
+    # The off-schema slot "train-book trainid" rejects SNG0003 whole: one
+    # diagnostic, two turns; SNG0004's colliding turn is the third skip.
+    raw = json.loads((FIXTURE_CORPUS / "data.json").read_text())
+    raw["SNG0003.json"]["log"][3]["metadata"]["train"]["book"]["trainID"] = "TR1234"
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "data.json").write_text(json.dumps(raw))
+    for name in ("valListFile.json", "testListFile.json"):
+        (corpus / name).write_text((FIXTURE_CORPUS / name).read_text())
+    labels = tmp_path / "labels.jsonl"
+    code, out, _ = _run(
+        ["export", "--corpus", str(corpus), "--mode", "md",
+         "--ratio", "1.0", "--seed", "11", "--out", str(labels)],
+        monkeypatch, capsys,
+    )
+    assert code == 0 and len(labels.read_text().splitlines()) == 11
+    assert out == f"wrote 11 records to {labels} (3 turns skipped)\n"
+
+
 def test_fuzz_ok(monkeypatch, capsys):
     code, out, _ = _run(
         ["fuzz", "--trials", "50", "--seed", "0"],

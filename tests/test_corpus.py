@@ -1,3 +1,4 @@
+import copy
 import gc
 import json
 import time
@@ -12,6 +13,7 @@ from statesum import (
     ProtocolError,
     TemplateConfig,
     domain_counts,
+    evaluate_run,
     export_training_file,
     load_multiwoz,
     load_predictions,
@@ -30,6 +32,8 @@ from statesum.destate import parse_summary
 from statesum.summarize import synthesize_labels
 
 from conftest import FIXTURE_CORPUS
+
+GOLDEN_EVAL = FIXTURE_CORPUS.parent / "golden_eval"
 
 
 def synthetic_corpus(counts: dict[str, int]) -> Corpus:
@@ -174,6 +178,34 @@ def test_equal_annotation_entries_share_one_key_and_one_value(tmp_path):
     assert first["taxi-leaveat"] == first["taxi-arriveby"] == "10:15"
     assert first["restaurant-food"] == second["restaurant-food"] == "free"
     assert first["restaurant-pricerange"] == second["restaurant-pricerange"] == "cheap"
+
+
+def test_an_unchanged_state_is_the_previous_turns_object(tmp_path):
+    food = {"restaurant": {"semi": {"food": "chinese"}}}
+    both = {"restaurant": {"semi": {"food": "chinese", "area": "north"}}}
+    flipped = {"restaurant": {"semi": {"area": "north", "food": "chinese"}}}
+    records = {
+        "A.json": _record(food, food, both, flipped, flipped, food),
+        "B.json": _record(food),
+        "C.json": _record(food, goal=("hotel", "restaurant")),
+        "D.json": _record(food, goal=("restaurant", "hotel")),
+    }
+    by_id = load_multiwoz(_write_archive(tmp_path, json.dumps(records))).dialogue_map()
+    states = by_id["A.json"].states
+    assert states[1] is states[0]  # equal, in the same key order
+    assert states[2] is not states[1] and states[2] == {
+        "restaurant-food": "chinese", "restaurant-area": "north"
+    }
+    # Shuffled and flat labels follow the key order, so a reordered state is its own.
+    assert states[3] == states[2] and states[3] is not states[2]
+    assert list(states[3]) == ["restaurant-area", "restaurant-food"]
+    assert list(states[2]) == ["restaurant-food", "restaurant-area"]
+    assert states[4] is states[3]
+    assert states[5] == states[0] and states[5] is not states[0]  # only the previous turn counts
+    assert by_id["A.json"].domains is by_id["B.json"].domains == frozenset({"restaurant"})
+    assert by_id["C.json"].domains is by_id["D.json"].domains == frozenset({"hotel", "restaurant"})
+    assert len({id(dialogue.lines[0]) for dialogue in by_id.values()}) == 1
+    assert by_id["A.json"].lines[0] == "system: "
 
 
 @pytest.mark.parametrize("enabled_before", [True, False])
@@ -561,6 +593,26 @@ def test_load_memory_is_linear_in_dialogue_length(tmp_path):
     assert peak_per_byte[1] <= 1.1 * peak_per_byte[0], peak_per_byte
 
 
+def test_an_unchanged_turn_holds_no_state_of_its_own(tmp_path):
+    # 200 dialogues whose state never changes, at 10 and at 40 turns: an extra
+    # turn holds its two history lines and three list slots, not a state dict.
+    food = {"restaurant": {"semi": {"food": "chinese"}}}
+    held = []
+    for n_turns in (10, 40):
+        records = {f"R{i:03d}.json": _record(*[food] * n_turns) for i in range(200)}
+        path = _write_archive(tmp_path / str(n_turns), json.dumps(records))
+        tracemalloc.start()
+        try:
+            corpus = load_multiwoz(path)
+            held.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        assert sum(len(dialogue.states) for dialogue in corpus.train) == 200 * n_turns
+        del corpus
+    per_turn = (held[1] - held[0]) / (200 * 30)
+    assert per_turn <= 200, f"{per_turn:.0f} B held per extra turn"
+
+
 # -- few-shot sampling -----------------------------------------------------------
 
 
@@ -740,6 +792,80 @@ def test_export_writes_exactly_the_round_trips(mini_corpus, ont, tmp_path, cfg):
                 assert parsed.state != state or parsed.diagnostics, (dialogue_id, index)
     # The flat format has no " and " terminator, so the venue name survives there.
     assert (("SNG0004.json", 1) in written) == (not cfg.naturalness)
+
+
+def _doubled_archive(root):
+    """The fixture archive with every turn said twice, so each state repeats unchanged."""
+    records = _fixture_records()
+    for record in records.values():
+        log = record["log"]
+        record["log"] = [entry for i in range(0, len(log), 2) for entry in log[i:i + 2] * 2]
+    return _write_archive(root, json.dumps(records))
+
+
+def _unshared(corpus: Corpus) -> Corpus:
+    """A copy of ``corpus`` in which every state and goal-domain set is its own object."""
+    copied = copy.deepcopy(corpus)  # keeps a shared object shared
+    for dialogue in copied.dialogue_map().values():
+        dialogue.states = [dict(state) for state in dialogue.states]
+        dialogue.domains = frozenset(set(dialogue.domains))
+    return copied
+
+
+def _state_objects(corpus: Corpus) -> tuple[int, int]:
+    """(states, distinct state objects) over every dialogue of ``corpus``."""
+    states = [state for dialogue in corpus.dialogue_map().values() for state in dialogue.states]
+    return len(states), len({id(state) for state in states})
+
+
+@pytest.fixture(scope="module")
+def doubled_corpus(tmp_path_factory):
+    return load_multiwoz(_doubled_archive(tmp_path_factory.mktemp("doubled")))
+
+
+@pytest.mark.parametrize("corpus_name", ["mini", "doubled"])
+@pytest.mark.parametrize("cfg", [
+    TemplateConfig(paraphrasing=p, dontcare_concat=c, domain_order=o)
+    for p in (True, False) for c in (True, False) for o in ("canonical", "shuffled")
+] + [TemplateConfig(naturalness=False)])
+def test_a_shared_state_writes_what_its_own_copy_writes(
+    mini_corpus, doubled_corpus, ont, tmp_path, corpus_name, cfg
+):
+    corpus = mini_corpus if corpus_name == "mini" else doubled_corpus
+    n_states, n_objects = _state_objects(corpus)
+    assert (n_objects < n_states) == (corpus_name == "doubled")
+    copied = _unshared(corpus)
+    assert _state_objects(copied) == (n_states, n_states)
+    split = sample_fewshot(corpus, "md", ratio=1.0, seed=11)
+    outputs = []
+    for source in (corpus, copied):
+        out, diagnostics = tmp_path / f"labels{len(outputs)}.jsonl", []
+        written = export_training_file(split, source, ont, cfg, out, diagnostics)
+        outputs.append((written, out.read_bytes(), diagnostics))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] > 0
+
+
+@pytest.mark.parametrize("corpus_name", ["mini", "doubled"])
+def test_a_shared_state_scores_as_its_own_copy_scores(
+    mini_corpus, doubled_corpus, ont, tmp_path, corpus_name
+):
+    predictions = GOLDEN_EVAL / "predictions.jsonl"
+    corpus = mini_corpus
+    if corpus_name == "doubled":
+        # Each golden prediction joins both copies of its turn.
+        corpus, predictions = doubled_corpus, tmp_path / "doubled.jsonl"
+        lines = (GOLDEN_EVAL / "predictions.jsonl").read_text().splitlines()
+        rows = [json.loads(line) for line in lines]
+        _write_lines(predictions, [
+            dict(row, turn_index=2 * row["turn_index"] + k) for row in rows for k in (0, 1)
+        ])
+    outputs = []
+    for source in (corpus, _unshared(corpus)):
+        out, diag = tmp_path / f"report{len(outputs)}.json", tmp_path / f"diag{len(outputs)}.jsonl"
+        evaluate_run(predictions, source, ont, out=out, diagnostics_out=diag)
+        outputs.append((out.read_bytes(), diag.read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def test_export_failure_leaves_no_partial_file(mini_corpus, ont, tmp_path):
