@@ -43,12 +43,14 @@ _CHUNK = 1 << 16  # characters of data.json read at a time
 class Dialogue:
     """``states[i]`` is the cumulative belief state after user turn ``i``; a state equal to the
     previous one, in the same key order, is the previous turn's object, so states are read-only.
-    ``lines`` holds two per turn, ``"system: …"`` (the reply before it) then ``"user: …"``, so
-    the history of turn ``i`` is ``"\\n".join(lines[: 2 * i + 2])``."""
+    ``history`` is the whole dialogue, two lines per turn joined by newlines: ``"system: …"``
+    (the reply before it) then ``"user: …"``. ``ends[i]`` is the length of turn ``i``'s
+    history, so that history is ``history[: ends[i]]``."""
 
     dialogue_id: str
     states: list[DialogueState]
-    lines: list[str]
+    history: str
+    ends: tuple[int, ...]
     domains: frozenset[str]
 
 
@@ -185,7 +187,7 @@ def _build_dialogue(dialogue_id: str, raw: dict, memo: dict) -> Dialogue:
     if len(logturns) % 2 != 0:
         raise CorpusError(f"odd number of log entries ({len(logturns)})")
 
-    states, lines = [], []
+    states, lines, ends, end = [], [], [], -1  # -1: no newline goes before the first line
     for index in range(len(logturns) // 2):
         user = logturns[2 * index]
         system_reply = logturns[2 * index + 1]
@@ -198,11 +200,13 @@ def _build_dialogue(dialogue_id: str, raw: dict, memo: dict) -> Dialogue:
             raise CorpusError(f"turn {index}: metadata is not an object")
         lines.append(f"system: {logturns[2 * index - 1]['text']}" if index else "system: ")
         lines.append(f"user: {user['text']}")
+        end += len(lines[-2]) + len(lines[-1]) + 2
+        ends.append(end)
         state = _state_from_metadata(metadata, memo)
         if states and state == states[-1] and list(state) == list(states[-1]):
             state = states[-1]  # same key order too: shuffled and flat labels follow it
         states.append(state)
-    return Dialogue(dialogue_id, states, lines, _goal_domains(goal, memo))
+    return Dialogue(dialogue_id, states, "\n".join(lines), tuple(ends), _goal_domains(goal, memo))
 
 
 @contextmanager
@@ -470,14 +474,15 @@ def export_training_file(
                     "dialogue_id": dialogue_id,
                     "turn_index": index,
                     "split_role": roles[dialogue_id],
-                    "history": "\n".join(dialogue.lines[: 2 * index + 2]),
+                    "history": dialogue.history[: dialogue.ends[index]],
                     "gold_summary": label,
                     "gold_state": state,
                 }
                 handle.write(json.dumps(record, ensure_ascii=False) + "\n")
                 written += 1
-    if diags:
-        log.info("export logged %d skips", len(diags))
+    skipped = sum(len(by_id[did].states) for did in roles) - written
+    if skipped > 0:
+        log.info("export skipped %d turns", skipped)
     return written
 
 

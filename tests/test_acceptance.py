@@ -288,7 +288,7 @@ def test_criterion8_single_pass_scoring(ont, tmp_path):
                 "predicted_summary": state_to_summary(state, ont),
             })
         dialogues.append(
-            Dialogue(f"GEN{d:04d}.json", states, lines=[], domains=frozenset())
+            Dialogue(f"GEN{d:04d}.json", states, history="", ends=(), domains=frozenset())
         )
     corpus = Corpus(splits={"train": [], "dev": [], "test": dialogues})
     predictions = tmp_path / "preds.jsonl"

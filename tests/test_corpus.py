@@ -1,6 +1,7 @@
 import copy
 import gc
 import json
+import logging
 import time
 import tracemalloc
 import zipfile
@@ -45,7 +46,8 @@ def synthetic_corpus(counts: dict[str, int]) -> Corpus:
                 Dialogue(
                     dialogue_id=f"{domain}-{i:05d}.json",
                     states=[],
-                    lines=[],
+                    history="",
+                    ends=(),
                     domains=frozenset([domain]),
                 )
             )
@@ -204,8 +206,7 @@ def test_an_unchanged_state_is_the_previous_turns_object(tmp_path):
     assert states[5] == states[0] and states[5] is not states[0]  # only the previous turn counts
     assert by_id["A.json"].domains is by_id["B.json"].domains == frozenset({"restaurant"})
     assert by_id["C.json"].domains is by_id["D.json"].domains == frozenset({"hotel", "restaurant"})
-    assert len({id(dialogue.lines[0]) for dialogue in by_id.values()}) == 1
-    assert by_id["A.json"].lines[0] == "system: "
+    assert all(dialogue.history.startswith("system: \nuser: ") for dialogue in by_id.values())
 
 
 @pytest.mark.parametrize("enabled_before", [True, False])
@@ -232,18 +233,49 @@ def test_failed_load_restores_collector_state(tmp_path):
 
 def test_history_format(mini_corpus, ont, tmp_path):
     dialogue = mini_corpus.dialogue_map()["PMUL0001.json"]
-    assert len(dialogue.lines) == 2 * len(dialogue.states)
+    assert len(dialogue.history.split("\n")) == 2 * len(dialogue.states)
+    assert len(dialogue.ends) == len(dialogue.states) and dialogue.ends[-1] == len(dialogue.history)
     split = sample_fewshot(mini_corpus, "md", ratio=1.0, seed=11)
     out = tmp_path / "labels.jsonl"
     export_training_file(split, mini_corpus, ont, out=out)
     records = [json.loads(line) for line in out.read_text().splitlines()]
     (record,) = [r for r in records if (r["dialogue_id"], r["turn_index"]) == ("PMUL0001.json", 1)]
     lines = record["history"].splitlines()
-    assert lines == dialogue.lines[:4]
+    assert record["history"] == dialogue.history[: dialogue.ends[1]]
+    assert lines == dialogue.history.split("\n")[:4]
     assert lines[0] == "system: "
     assert lines[1].startswith("user: ")
     assert lines[2] == "system: plenty of options, any area?"
     assert len(lines) == 4
+
+
+def test_history_keeps_newlines_inside_utterances(ont, tmp_path):
+    # A newline or a "system: " inside an utterance is text, not a turn boundary.
+    train = {"train": {"semi": {"destination": "cambridge"}}}
+    log = [
+        {"text": "i need\na train", "metadata": {}},
+        {"text": "where to?\nany day", "metadata": train},
+        {"text": "to cambridge\nsystem: on monday", "metadata": {}},
+        {"text": "ok", "metadata": train},
+        {"text": "thanks\n", "metadata": {}},
+        {"text": "bye", "metadata": train},
+    ]
+    records = {"NL.json": {"goal": {"train": {"info": {"x": "y"}}}, "log": log}}
+    corpus = load_multiwoz(_write_archive(tmp_path, json.dumps(records)))
+    dialogue = corpus.dialogue_map()["NL.json"]
+    assert len(dialogue.ends) == len(dialogue.states) == 3
+    assert dialogue.ends[-1] == len(dialogue.history)
+    out = tmp_path / "labels.jsonl"
+    split = sample_fewshot(corpus, "md", ratio=1.0, seed=11)
+    assert export_training_file(split, corpus, ont, out=out) == 3
+    histories = [json.loads(line)["history"] for line in out.read_text("utf-8").splitlines()]
+    assert histories == [
+        "system: \nuser: i need\na train",
+        "system: \nuser: i need\na train\nsystem: where to?\nany day"
+        "\nuser: to cambridge\nsystem: on monday",
+        "system: \nuser: i need\na train\nsystem: where to?\nany day"
+        "\nuser: to cambridge\nsystem: on monday\nsystem: ok\nuser: thanks\n",
+    ]
 
 
 def test_zip_archive_loading(tmp_path):
@@ -389,7 +421,8 @@ def test_repeated_id_keeps_first_position_and_last_record(tmp_path):
     by_id = corpus.dialogue_map()
     assert ids[0] in by_id and ids[2] not in by_id
     assert by_id[ids[3]].states == by_id[ids[1]].states
-    assert by_id[ids[3]].lines == by_id[ids[1]].lines
+    assert by_id[ids[3]].history == by_id[ids[1]].history
+    assert by_id[ids[3]].ends == by_id[ids[1]].ends
     assert f"{ids[2]}: skipped (missing goal or log)" in corpus.diagnostics
 
 
@@ -473,8 +506,8 @@ def test_chunk_boundaries_change_no_result(tmp_path, monkeypatch, case, chunk, l
     assert _outcome(path) == expected
     if case == "multibyte":
         dialogue_id = next(iter(_fixture_records()))
-        lines = load_multiwoz(path).dialogue_map()[dialogue_id].lines
-        assert lines[:2] == ["system: ", f"user: {_MULTIBYTE_TEXT}"]
+        dialogue = load_multiwoz(path).dialogue_map()[dialogue_id]
+        assert dialogue.history[: dialogue.ends[0]] == f"system: \nuser: {_MULTIBYTE_TEXT}"
 
 
 @pytest.mark.parametrize("text", [
@@ -595,7 +628,8 @@ def test_load_memory_is_linear_in_dialogue_length(tmp_path):
 
 def test_an_unchanged_turn_holds_no_state_of_its_own(tmp_path):
     # 200 dialogues whose state never changes, at 10 and at 40 turns: an extra
-    # turn holds its two history lines and three list slots, not a state dict.
+    # turn holds its text in the history, one offset and one state slot, not a
+    # state dict or line strings of its own.
     food = {"restaurant": {"semi": {"food": "chinese"}}}
     held = []
     for n_turns in (10, 40):
@@ -610,7 +644,7 @@ def test_an_unchanged_turn_holds_no_state_of_its_own(tmp_path):
         assert sum(len(dialogue.states) for dialogue in corpus.train) == 200 * n_turns
         del corpus
     per_turn = (held[1] - held[0]) / (200 * 30)
-    assert per_turn <= 200, f"{per_turn:.0f} B held per extra turn"
+    assert per_turn <= 100, f"{per_turn:.0f} B held per extra turn"
 
 
 # -- few-shot sampling -----------------------------------------------------------
@@ -703,6 +737,20 @@ def test_export_counts_and_roles(mini_corpus, ont, tmp_path):
         if did != "SNG0004.json"
     ) + len(mini_corpus.dialogue_map()["SNG0004.json"].states) - 1
     assert written == expected_turns
+
+
+def test_export_logs_the_turns_this_call_skipped(mini_corpus, ont, tmp_path, caplog):
+    # The count is this call's unwritten turns; the caller's list may hold earlier entries.
+    split = sample_fewshot(mini_corpus, "md", ratio=1.0, seed=11)
+    diagnostics = ["from an earlier step"]
+    caplog.set_level(logging.INFO, logger="statesum.corpus")
+    logged = []
+    for cfg in (TemplateConfig(), TemplateConfig(), TemplateConfig(naturalness=False)):
+        caplog.clear()
+        export_training_file(split, mini_corpus, ont, cfg, tmp_path / "x.jsonl", diagnostics)
+        logged.append([r.getMessage() for r in caplog.records if r.name == "statesum.corpus"])
+    assert logged == [["export skipped 1 turns"], ["export skipped 1 turns"], []]
+    assert len(diagnostics) == 3
 
 
 def test_export_key_order_and_sorting(mini_corpus, ont, tmp_path):
@@ -909,11 +957,11 @@ def test_export_closure_at_scale(ont, tmp_path):
     from statesum import random_state
 
     dialogues = []
+    history = "\n".join(["system: ", "user: "] * 4)
+    ends = (15, 31, 47, 63)  # each turn adds "\nsystem: \nuser: "
     for d in range(1500):
         states = [random_state(ont, seed=d * 4 + t) for t in range(4)]
-        dialogues.append(
-            Dialogue(f"GEN{d:05d}.json", states, ["system: ", "user: "] * 4, domains=frozenset())
-        )
+        dialogues.append(Dialogue(f"GEN{d:05d}.json", states, history, ends, domains=frozenset()))
     corpus = Corpus(splits={"train": dialogues, "dev": [], "test": []})
     split = sample_fewshot(corpus, "md", ratio=1.0, seed=11)
     out = tmp_path / "labels.jsonl"

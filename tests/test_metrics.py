@@ -647,7 +647,8 @@ def test_evaluate_run_renders_gold_once_per_unchanged_state(ont, tmp_path, monke
         Dialogue(
             dialogue_id=name,
             states=[state for (d, _), state in gold.items() if d == name],
-            lines=[],
+            history="",
+            ends=(),
             domains=frozenset({"hotel", "train"}),
         )
         for name in ("A.json", "B.json")
@@ -707,7 +708,8 @@ def test_evaluate_run_text_scores_equal_public_functions_and_oracles(ont, turns)
     dialogue = Dialogue(
         dialogue_id="H.json",
         states=states,
-        lines=[],
+        history="",
+        ends=(),
         domains=frozenset(ont.domains),
     )
     with tempfile.TemporaryDirectory() as tmp:
@@ -742,7 +744,9 @@ def test_evaluate_run_peak_memory_is_small_against_the_predictions(ont, tmp_path
     dialogues, rows = [], []
     for d in range(100):
         states = [random_state(ont, seed=d * 10 + t) for t in range(10)]
-        dialogues.append(Dialogue(f"GEN{d:04d}.json", states, lines=[], domains=frozenset()))
+        dialogues.append(
+            Dialogue(f"GEN{d:04d}.json", states, history="", ends=(), domains=frozenset())
+        )
         rows.extend(
             {"dialogue_id": f"GEN{d:04d}.json", "turn_index": t,
              "predicted_summary": state_to_summary(state, ont)}

@@ -174,8 +174,9 @@ def test_value_containment_property(ont):
 
 
 def _dialogue(states):
-    lines = ["system: ", "user: "] * len(states)
-    return Dialogue("T0001.json", states, lines, domains=frozenset(["attraction"]))
+    history = "\n".join(["system: ", "user: "] * len(states))
+    ends = tuple(16 * turn + 15 for turn in range(len(states)))  # 16: "system: \nuser: \n"
+    return Dialogue("T0001.json", states, history, ends, domains=frozenset(["attraction"]))
 
 
 def test_synthesize_labels_empty_turn(ont):
