@@ -461,11 +461,11 @@ def export_training_file(
             except StateValidationError as exc:
                 diags.append(f"{dialogue_id}: skipped, {exc}")
                 continue
-            previous = None
+            previous_state = previous_label = None
             for index, (state, label) in enumerate(zip(dialogue.states, labels)):
-                # A state often stays put for several turns; its verdict then holds too.
-                if (label, state) != previous:
-                    previous = (label, state)
+                # Reuse a verdict only for the previous turn's own object; issues follow key order.
+                if state is not previous_state or label != previous_label:
+                    previous_state, previous_label = state, label
                     collisions = reserved_collisions(state, ontology, cfg, label)
                 if collisions:
                     diags.append(f"{dialogue_id}/{index}: skipped, {'; '.join(collisions)}")

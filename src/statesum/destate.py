@@ -1,17 +1,16 @@
 """Summary-to-state extraction: pattern matching that inverts the renderer.
 
 Parsing never raises on malformed text; it returns a best-effort state plus a
-list of diagnostics. Pattern tables are read off the ontology's slot templates
-once per ontology, and each summary costs a single pass plus one probe per slot
-of the matched domains. The export guard, ``reserved_collisions``, is this
-parser run on the label: a label is kept only if it parses back to its state.
+list of diagnostics. Pattern tables are read off the slot templates once, by the
+extractor kept on (and freed with) its ontology; a summary costs one pass plus a
+probe per slot of the matched domains. The export guard, ``reserved_collisions``,
+is this parser run on a label: it is kept only if it parses back to its state.
 """
 
 from __future__ import annotations
 
 import os
 import re
-import weakref
 from dataclasses import dataclass, field
 
 from .ontology import (
@@ -43,6 +42,7 @@ class _SlotRule:
 
     slot_name: str
     prefix: str = ""  # literal text directly before the value
+    ends: tuple[str, ...] = ()  # template text after the value, singular then plural unit
     article: bool = False  # prefix ends at an a/an article; skip "n " or " " after it
     counted: re.Pattern | None = None  # count slot: the integer before its unit word
     boolean: tuple[str, ...] = ()  # negative probe, then positive probe
@@ -53,14 +53,14 @@ def _slot_rule(spec: SlotSpec) -> _SlotRule:
     if spec.is_boolean:
         return _SlotRule(spec.slot_name, boolean=(" " + spec.phrase_no, " " + spec.phrase_yes))
     head, after = spec.phrase_template.split("{v}")
+    ends = tuple(after.replace("{unit}", u) for u in (spec.unit_singular, spec.unit_plural))
     if spec.value_kind == "count":
         prefix = " " + head.replace("{a}", "a")  # digits always take "a"
         # Match only what the singular and plural unit words share.
         unit = after.replace("{unit}", os.path.commonprefix([spec.unit_singular, spec.unit_plural]))
-        return _SlotRule(
-            spec.slot_name, prefix, counted=re.compile(re.escape(prefix) + r"(\d+)" + re.escape(unit))
-        )
-    return _SlotRule(spec.slot_name, " " + head.replace("{a} ", "a"), article="{a}" in head)
+        counted = re.compile(re.escape(prefix) + r"(\d+)" + re.escape(unit))
+        return _SlotRule(spec.slot_name, prefix, ends, counted=counted)
+    return _SlotRule(spec.slot_name, " " + head.replace("{a} ", "a"), ends, article="{a}" in head)
 
 
 class StateExtractor:
@@ -85,19 +85,12 @@ class StateExtractor:
             name: tuple(_slot_rule(spec) for spec in domain.slots)
             for name, domain in ontology.domains.items()
         }
-        terminators = [" which ", " and ", f" {CONJUNCTION} "]
-        for domain in ontology.domains.values():
-            for spec, rule in zip(domain.slots, self._rules[domain.domain_name]):
-                if rule.boolean:
-                    continue
-                after = spec.phrase_template.split("{v}")[1]
-                terminators.append(rule.prefix)
-                terminators += [after.replace("{unit}", u) for u in (spec.unit_singular, spec.unit_plural)]
-        terminators = [t for t in dict.fromkeys(terminators) if t]
+        cuts = (p for rules in self._rules.values() for r in rules for p in (r.prefix, *r.ends))
+        terminators = dict.fromkeys((" which ", " and ", f" {CONJUNCTION} ", *filter(None, cuts)))
+        self._terminators = re.compile("|".join(map(re.escape, terminators)))
         self._splitter = re.compile(
             "|".join(re.escape(p) for p in _boundary_phrases())
         )
-        self._terminators = re.compile("|".join(re.escape(t) for t in terminators))
         self._phrases = {
             name: re.sub("^an? ", "", d.noun_phrase) for name, d in ontology.domains.items()
         }
@@ -238,16 +231,13 @@ class StateExtractor:
         return result
 
 
-_EXTRACTORS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def extractor_for(ontology: Ontology) -> StateExtractor:
-    """Shared extractor for an ontology (patterns compiled once)."""
-    extractor = _EXTRACTORS.get(ontology)
-    if extractor is None:
-        extractor = StateExtractor(ontology)
-        _EXTRACTORS[ontology] = extractor
-    return extractor
+    """The ontology's shared extractor, built on first use and kept on the instance."""
+    try:
+        return ontology._extractor
+    except AttributeError:
+        ontology._extractor = StateExtractor(ontology)
+    return ontology._extractor
 
 
 def parse_summary(

@@ -211,6 +211,8 @@ def _parse_slot(domain_name: str, slot_name: str, raw: dict) -> SlotSpec:
                    spec.phrase_no, spec.dontcare_noun):
         if "." in phrase:
             raise SchemaError(f"slot {slot_name!r}: phrase {phrase!r} contains '.'")
+    if " and " in f" {spec.dontcare_noun} ":  # the parser splits a dontcare list at " and "
+        raise SchemaError(f"slot {slot_name!r}: dontcare_noun must not hold the word 'and'")
     return spec
 
 

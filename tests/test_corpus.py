@@ -29,7 +29,7 @@ from statesum.corpus import (
     normalize_raw_value,
 )
 from statesum.cli import run
-from statesum.destate import parse_summary
+from statesum.destate import parse_summary, reserved_collisions
 from statesum.summarize import synthesize_labels
 
 from conftest import FIXTURE_CORPUS
@@ -788,6 +788,26 @@ def test_export_skips_colliding_turn(mini_corpus, ont, tmp_path):
     assert not any(
         r["dialogue_id"] == "SNG0004.json" and r["turn_index"] == 1 for r in written
     )
+
+
+def test_export_rechecks_an_equal_state_in_another_key_order(ont, tmp_path):
+    # The loader hands an unchanged state over as the previous turn's object; an
+    # equal state in another key order is checked again, since its issues list
+    # the slots in its own key order.
+    first = {"hotel-name": "alexander bed and breakfast", "restaurant-name": "milk and honey"}
+    second = dict(reversed(first.items()))
+    history = "\n".join(["system: ", "user: "] * 2)
+    dialogue = Dialogue("HAND.json", [first, second], history, (15, 31), domains=frozenset())
+    corpus = Corpus(splits={"train": [dialogue], "dev": [], "test": []})
+    split = sample_fewshot(corpus, "md", ratio=1.0, seed=11)
+    cfg, diagnostics = TemplateConfig(), []
+    assert export_training_file(split, corpus, ont, cfg, tmp_path / "x.jsonl", diagnostics) == 0
+    labels = synthesize_labels(dialogue, ont, cfg, split.seed)
+    assert diagnostics == [
+        f"HAND.json/{index}: skipped, {'; '.join(reserved_collisions(state, ont, cfg, label))}"
+        for index, (state, label) in enumerate(zip(dialogue.states, labels))
+    ]
+    assert diagnostics[1].index("restaurant-name") < diagnostics[1].index("hotel-name")
 
 
 def test_export_skips_dialogue_with_off_schema_gold_slot(mini_corpus, ont, tmp_path):

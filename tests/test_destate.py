@@ -1,7 +1,10 @@
+import gc
+import hashlib
 import os
 import random
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -12,12 +15,13 @@ from statesum import (
     DONTCARE,
     TemplateConfig,
     default_ontology,
+    load_ontology,
     parse_summary,
     random_state,
     reserved_collisions,
     state_to_summary,
 )
-from statesum.destate import StateExtractor
+from statesum.destate import StateExtractor, extractor_for
 from statesum.summarize import CONJUNCTION, DONTCARE_MARKER, SUBJECTS
 
 import golden_data as gd
@@ -210,6 +214,30 @@ def test_parse_counters(ont):
     assert extractor.pattern_applications <= len(ont.all_slots()) + 7
     extractor.parse(gd.ATTRACTION_SUMMARY)
     assert extractor.parses == 2
+
+
+def test_shared_extractor_goes_with_its_ontology():
+    ontology = load_ontology()
+    assert extractor_for(ontology) is extractor_for(ontology)
+    parse_summary(gd.ATTRACTION_SUMMARY, ontology)
+    released = weakref.ref(ontology)
+    del ontology
+    gc.collect()
+    assert released() is None
+
+
+def test_builtin_schema_parser_patterns_are_pinned(ont):
+    # The "(cut at ...)" notes quote the terminator that matched, so reordering the
+    # alternatives changes export diagnostics; a change here is a deliberate one.
+    extractor = extractor_for(ont)
+    digests = [
+        hashlib.sha256(pattern.pattern.encode()).hexdigest()
+        for pattern in (extractor._terminators, extractor._splitter)
+    ]
+    assert digests == [
+        "07e5b55cc648f390c2f545aeeb6d0a49434e6a57379583a5a93d53e249e06677",
+        "51fac3a264a2cad20e213f7dc98cdcb85a8da48b55f4098ef5eef7f1752671a5",
+    ]
 
 
 def test_reserved_collisions(ont):

@@ -202,9 +202,12 @@ def test_bad_template_rejected(tmp_path):
      "slot 'hotel-book people': phrase 'the no. of people' contains '.'"),
     ("train", None, "noun_phrase", "a train, e.g. a sleeper",
      "domain 'train': noun_phrase contains '.'"),
-], ids=["template", "unit", "phrase_no", "dontcare_noun", "noun_phrase"])
+    ("hotel", "hotel-pricerange", "dontcare_noun", "the price and the range",
+     "slot 'hotel-pricerange': dontcare_noun must not hold the word 'and'"),
+], ids=["template", "unit", "phrase_no", "dontcare_noun", "noun_phrase", "dontcare_noun_and"])
 def test_rendered_phrase_holding_a_period_rejected(tmp_path, domain, slot, key, phrase, message):
-    # The parser reads a domain's slot phrases up to its sentence's first '.'.
+    # The parser reads a domain's slot phrases up to its sentence's first '.', and
+    # splits a dontcare list at " and ", so a noun holding "and" reads back as two.
     doc = yaml.safe_load(resources.files("statesum.data").joinpath("multiwoz_en.yaml").read_text())
     entry = doc["domains"][domain]
     (entry["slots"][slot] if slot else entry)[key] = phrase
