@@ -28,14 +28,6 @@ class ParseResult:
     diagnostics: list[str] = field(default_factory=list)
 
 
-def _boundary_phrases() -> tuple[str, ...]:
-    phrases = {*SUBJECTS, PLAIN_SUBJECT}
-    # Model output may capitalize a continuation subject.
-    phrases.update(p[0].upper() + p[1:] for p in tuple(phrases))
-    # Longest first for the regex; ties by text, so the order is fixed.
-    return tuple(sorted(phrases, key=lambda p: (-len(p), p)))
-
-
 @dataclass(frozen=True)
 class _SlotRule:
     """How one slot's value is found in its domain's sentence."""
@@ -72,32 +64,32 @@ class StateExtractor:
     the renderer's joiners (``", which "``, ``" and "``, the conjunction). The
     sentence frame comes from ``summarize``'s constants, which the renderer writes.
     One grammar reads all four natural variants: every subject, and dontcare in
-    the domain's sentence or in one of its own. A domain's sentence is the one
-    holding its noun phrase without the leading "a " or "an ".
+    the domain's sentence or in one of its own. The parser keeps one record per
+    domain: its noun phrase without the leading "a " or "an ", which marks the
+    domain's sentence; its slot rules; and its dontcare nouns, each to its slot.
     """
 
     def __init__(self, ontology: Ontology):
         self.ontology = ontology
         self.parses = 0
         self.pattern_applications = 0
-
-        self._rules = {
-            name: tuple(_slot_rule(spec) for spec in domain.slots)
+        self._domains = {
+            name: (
+                re.sub("^an? ", "", domain.noun_phrase),
+                tuple(_slot_rule(spec) for spec in domain.slots),
+                {spec.dontcare_noun: spec.slot_name for spec in domain.slots},
+            )
             for name, domain in ontology.domains.items()
         }
-        cuts = (p for rules in self._rules.values() for r in rules for p in (r.prefix, *r.ends))
+        cuts = (p for d in self._domains.values() for r in d[1] for p in (r.prefix, *r.ends))
         terminators = dict.fromkeys((" which ", " and ", f" {CONJUNCTION} ", *filter(None, cuts)))
         self._terminators = re.compile("|".join(map(re.escape, terminators)))
-        self._splitter = re.compile(
-            "|".join(re.escape(p) for p in _boundary_phrases())
-        )
-        self._phrases = {
-            name: re.sub("^an? ", "", d.noun_phrase) for name, d in ontology.domains.items()
-        }
-        self._nouns = {
-            domain.domain_name: {spec.dontcare_noun: spec.slot_name for spec in domain.slots}
-            for domain in ontology.domains.values()
-        }
+        boundaries = {*SUBJECTS, PLAIN_SUBJECT}
+        # Model output may capitalize a continuation subject.
+        boundaries.update(p[0].upper() + p[1:] for p in tuple(boundaries))
+        # Longest first for the regex; ties by text, so the order is fixed.
+        boundaries = sorted(boundaries, key=lambda p: (-len(p), p))
+        self._splitter = re.compile("|".join(map(re.escape, boundaries)))
 
     # -- splitting ---------------------------------------------------------
 
@@ -111,7 +103,7 @@ class StateExtractor:
         assigned: dict[str, str] = {}
         diagnostics: list[str] = []
         claims: dict[int, list[str]] = {}
-        for name, phrase in self._phrases.items():
+        for name, (phrase, _, _) in self._domains.items():
             for i, fragment in enumerate(fragments):
                 if phrase in fragment:
                     assigned[name] = fragment
@@ -120,7 +112,7 @@ class StateExtractor:
         for i, fragment in enumerate(fragments):
             owners = claims.get(i, [])
             if not owners:
-                if any(phrase in fragment for phrase in self._phrases.values()):
+                if any(phrase in fragment for phrase, _, _ in self._domains.values()):
                     diagnostics.append(f"repeated domain fragment ignored: {fragment.strip()!r}")
                 else:
                     diagnostics.append(f"no domain phrase matched: {fragment.strip()!r}")
@@ -133,10 +125,6 @@ class StateExtractor:
 
     # -- single-domain parsing ---------------------------------------------
 
-    def _cut_value(self, tail: str) -> str:
-        m = self._terminators.search(tail)
-        return clean_value(tail[: m.start()] if m else tail)
-
     def parse_domain_sentence(
         self, fragment: str, domain: DomainSpec, diagnostics: list[str] | None = None
     ) -> DialogueState:
@@ -145,8 +133,8 @@ class StateExtractor:
         diags = diagnostics if diagnostics is not None else []
         main = fragment.split(".", 1)[0]
         state: DialogueState = {}
-
-        for rule in self._rules[domain.domain_name]:
+        _, rules, nouns = self._domains[domain.domain_name]
+        for rule in rules:
             if rule.boolean:
                 self.pattern_applications += 2
                 negative, positive = rule.boolean
@@ -167,7 +155,8 @@ class StateExtractor:
             tail = main[idx + len(rule.prefix):]
             if rule.article:
                 tail = tail[2:] if tail.startswith("n") else tail[1:]
-            value = self._cut_value(tail)
+            m = self._terminators.search(tail)
+            value = clean_value(tail[: m.start()] if m else tail)
             if not value:
                 diags.append(
                     f"{domain.domain_name}: empty value after {rule.prefix!r}"
@@ -183,7 +172,7 @@ class StateExtractor:
                 noun = clean_value(noun)
                 if not noun:
                     continue
-                slot_name = self._nouns[domain.domain_name].get(noun)
+                slot_name = nouns.get(noun)
                 if slot_name is None:
                     diags.append(
                         f"{domain.domain_name}: unrecognized dontcare noun {noun!r}"

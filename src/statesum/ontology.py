@@ -8,6 +8,7 @@ value for; an unmentioned slot is simply absent from the dict.
 from __future__ import annotations
 
 import random
+from collections.abc import Hashable
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
@@ -163,6 +164,9 @@ def _parse_slot(domain_name: str, slot_name: str, raw: dict) -> SlotSpec:
     for key in ("clause", "front_when_an"):
         if type(raw.get(key, False)) is not bool:
             raise SchemaError(f"slot {slot_name!r}: {key} must be true or false")
+    for key in ("template", "phrase_yes", "phrase_no", "dontcare_noun"):
+        if type(raw.get(key, "")) is not str:  # a blank, list or yes would be stored as text
+            raise SchemaError(f"slot {slot_name!r}: {key} must be a string")
     unit = raw.get("unit", ("", ""))
     if "unit" in raw and not (type(unit) is list and len(unit) == 2
                               and all(type(u) is str and u for u in unit)):
@@ -197,14 +201,14 @@ def _parse_slot(domain_name: str, slot_name: str, raw: dict) -> SlotSpec:
         slot_name=slot_name,
         domain=domain_name,
         phrase_template=template,
-        dontcare_noun=str(raw.get("dontcare_noun", "")),
+        dontcare_noun=raw.get("dontcare_noun", ""),
         value_kind=kind,
         clause=raw.get("clause", False),
         front_when_an=raw.get("front_when_an", False),
         unit_singular=unit[0],
         unit_plural=unit[1],
-        phrase_yes=str(raw.get("phrase_yes", "")),
-        phrase_no=str(raw.get("phrase_no", "")),
+        phrase_yes=raw.get("phrase_yes", ""),
+        phrase_no=raw.get("phrase_no", ""),
     )
     # The parser reads slot phrases up to the first '.', where the renderer ends a sentence.
     for phrase in (spec.phrase_template, spec.unit_singular, spec.unit_plural, spec.phrase_yes,
@@ -225,9 +229,9 @@ def _parse_domain(domain_name: str, raw: dict) -> DomainSpec:
         raise SchemaError(f"domain {domain_name!r}: unknown key(s) {', '.join(unknown)}")
     if not isinstance(raw["slots"], dict):
         raise SchemaError(f"domain {domain_name!r}: slots must be a mapping")
-    if not raw.get("noun_phrase"):
-        raise SchemaError(f"domain {domain_name!r}: missing noun_phrase")
-    if "." in str(raw["noun_phrase"]):  # the parser reads a sentence up to its first '.'
+    if type(raw.get("noun_phrase")) is not str or not raw["noun_phrase"]:
+        raise SchemaError(f"domain {domain_name!r}: noun_phrase must be a nonempty string")
+    if "." in raw["noun_phrase"]:  # the parser reads a sentence up to its first '.'
         raise SchemaError(f"domain {domain_name!r}: noun_phrase contains '.'")
 
     slots = [_parse_slot(domain_name, str(name), entry) for name, entry in raw["slots"].items()]
@@ -237,7 +241,7 @@ def _parse_domain(domain_name: str, raw: dict) -> DomainSpec:
 
     return DomainSpec(
         domain_name=domain_name,
-        noun_phrase=str(raw["noun_phrase"]),
+        noun_phrase=raw["noun_phrase"],
         slots=tuple(slots),
     )
 
@@ -277,6 +281,8 @@ def _construct_unique_mapping(loader, node, deep=False):
     mapping = {}
     for key_node, value_node in node.value:
         key = loader.construct_object(key_node, deep=deep)
+        if not isinstance(key, Hashable):  # not printed: with deep=False it is still empty
+            raise SchemaError(f"unhashable key at line {key_node.start_mark.line + 1} in schema")
         if key in mapping:
             raise SchemaError(f"duplicate key {key!r} in schema")
         mapping[key] = loader.construct_object(value_node, deep=deep)

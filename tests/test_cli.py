@@ -87,16 +87,19 @@ def test_sample_bad_ratio_is_usage_error(monkeypatch, capsys, tmp_path, command)
     assert "ratio" in err
 
 
-def test_sample_manifest(monkeypatch, capsys):
-    code, out, _ = _run(
-        ["sample", "--corpus", str(FIXTURE_CORPUS), "--mode", "md",
-         "--ratio", "1.0", "--seed", "11"],
-        monkeypatch, capsys,
-    )
+def test_sample_manifest(monkeypatch, capsys, tmp_path):
+    argv = ["sample", "--corpus", str(FIXTURE_CORPUS), "--mode", "md",
+            "--ratio", "1.0", "--seed", "11"]
+    code, out, _ = _run(argv, monkeypatch, capsys)
     assert code == 0
     manifest = json.loads(out)
     assert manifest["mode"] == "multi_domain"
     assert manifest["n_finetune"] == 7
+    # --out writes the same bytes, atomically: no temporary file is left behind.
+    path = tmp_path / "manifest.json"
+    assert _run([*argv, "--out", str(path)], monkeypatch, capsys) == (0, "", "")
+    assert path.read_bytes() == out.encode("utf-8")
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_sample_env_fallback(monkeypatch, capsys):
@@ -428,9 +431,12 @@ _NAME_SLOT = "attraction-name: {template: 'called {v}', dontcare_noun: the name}
             )
             for key, value in (("knd", "count"), ("clasue", "true"), ("front_when_a", "true"))
         ),
+        # SafeLoader's own mapping constructor rejects an unhashable key; the strict one
+        # must too, or the load ends in a TypeError.
+        ("domains:\n  ? [a, b]\n  : 1\n", "unhashable key at line 2 in schema"),
     ],
     ids=["domains-list", "slots-list", "value-pools-list", "value-pool-string",
-         "knd", "clasue", "front_when_a"],
+         "knd", "clasue", "front_when_a", "unhashable-key"],
 )
 def test_schema_with_non_mapping_section_exits_2(monkeypatch, capsys, tmp_path, text, message):
     schema = tmp_path / "schema.yaml"

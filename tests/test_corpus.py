@@ -296,6 +296,9 @@ def test_missing_file_is_an_error(tmp_path):
 def test_nonexistent_path_rejected(tmp_path):
     with pytest.raises(CorpusError):
         load_multiwoz(tmp_path / "nowhere")
+    (tmp_path / "data.json").write_text("{}")
+    with pytest.raises(CorpusError, match="not a corpus directory or zip archive"):
+        load_multiwoz(tmp_path / "data.json")
 
 
 def test_malformed_dialogue_skipped(tmp_path):
@@ -329,6 +332,7 @@ def test_non_object_entries_skipped(tmp_path):
         "BAD0006.json": with_log_entry(
             1, {**good["log"][1], "metadata": {"taxi": {"book": ["booked"]}}}
         ),
+        "BAD0007.json": with_log_entry(1, {"metadata": good["log"][1]["metadata"]}),
         "OK0001.json": good,
     }
     (tmp_path / "data.json").write_text(json.dumps(data))
@@ -343,6 +347,7 @@ def test_non_object_entries_skipped(tmp_path):
         "BAD0004.json: skipped (turn 0: metadata is not an object)",
         "BAD0005.json: skipped (hotel semi block is not an object)",
         "BAD0006.json: skipped (taxi book block is not an object)",
+        "BAD0007.json: skipped (turn 0: log entry without text)",
     ]
 
 
@@ -1015,10 +1020,13 @@ def test_load_predictions(tmp_path):
         {"dialogue_id": "A.json", "turn_index": 0, "predicted_summary": "x"},
         {"dialogue_id": "A.json", "turn_index": 1, "predicted_summary": "y"},
         {"dialogue_id": "B.json", "turn_index": 0, "predicted_summary": "z"},
+        {"dialogue_id": "B.json", "turn_index": "7", "predicted_summary": "w"},  # digits: 7
     ])
+    path.write_text(path.read_text() + "  \n")  # a blank line is skipped
     records = load_predictions(path)
-    assert len(records) == 3
+    assert len(records) == 4
     assert records[0].dialogue_id == "A.json"
+    assert records[3].turn_index == 7
 
 
 def test_load_predictions_missing_key_names_line(tmp_path):
@@ -1028,6 +1036,9 @@ def test_load_predictions_missing_key_names_line(tmp_path):
         {"dialogue_id": "A.json", "predicted_summary": "y"},
     ])
     with pytest.raises(CorpusError, match="line 2.*turn_index"):
+        load_predictions(path)
+    path.write_text(path.read_text().replace(', "predicted_summary": "y"}', ","))
+    with pytest.raises(CorpusError, match="line 2: invalid JSON"):
         load_predictions(path)
 
 

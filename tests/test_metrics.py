@@ -614,6 +614,13 @@ def test_evaluate_run_unjoined_prediction(mini_corpus, ont, tmp_path):
             evaluate_run(preds, mini_corpus, ont)
 
 
+def test_evaluate_run_empty_prediction_file(mini_corpus, ont, tmp_path):
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text("\n")
+    with pytest.raises(EvaluationError, match="prediction file contains no records"):
+        evaluate_run(preds, mini_corpus, ont)
+
+
 def test_report_bounds(mini_corpus, ont, tmp_path):
     rows = _gold_predictions(mini_corpus, ont)
     rows[1]["predicted_summary"] = "The user is looking for a taxi to mars."

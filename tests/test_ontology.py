@@ -241,9 +241,18 @@ def test_boolean_no_phrase_inside_its_yes_phrase_rejected(tmp_path, phrase_yes, 
     (("domains", "train"), "detect_phrase", "train", "domain 'train': unknown key(s) detect_phrase"),
     (("domains", "train"), "noun_phrse", "a train", "domain 'train': unknown key(s) noun_phrse"),
     ((), "value_pool", {}, "schema: unknown key(s) value_pool"),
-], ids=["position", "match", "detect_phrase", "noun_phrse", "value_pool"])
+    (("domains", "attraction", "slots", "attraction-area"), "dontcare_noun", None,
+     "slot 'attraction-area': dontcare_noun must be a string"),
+    (("domains", "attraction", "slots", "attraction-area"), "dontcare_noun", ["the", "area"],
+     "slot 'attraction-area': dontcare_noun must be a string"),
+    (("domains", "hotel", "slots", "hotel-parking"), "phrase_yes", True,
+     "slot 'hotel-parking': phrase_yes must be a string"),
+    (("domains", "train"), "noun_phrase", 7, "domain 'train': noun_phrase must be a nonempty string"),
+], ids=["position", "match", "detect_phrase", "noun_phrse", "value_pool", "blank-dontcare_noun",
+        "list-dontcare_noun", "bool-phrase_yes", "int-noun_phrase"])
 def test_removed_or_misspelt_key_rejected(tmp_path, where, key, value, message):
-    # A key the loader does not read would be silently ignored, at every level.
+    # A key the loader does not read would be silently ignored, at every level, and a
+    # phrase that is not a string would be rendered as its str(): "None", "True".
     doc = yaml.safe_load(resources.files("statesum.data").joinpath("multiwoz_en.yaml").read_text())
     entry = doc
     for step in where:
@@ -292,6 +301,7 @@ def test_validate_state_accepts_plain_values(ont):
         ({"hotel-parking": "maybe"}, "boolean"),
         ({"train-day": "  "}, "empty"),
         ({"train-day": "mon  day"}, "normalized"),
+        ({"train-day": 3}, "must be a string"),
     ],
 )
 def test_validate_state_flags_violations(ont, state, fragment):

@@ -1,5 +1,6 @@
 """The benchmark imports library names and patches functions by name; keep those names alive."""
 
+import hashlib
 import importlib.util
 import itertools
 import json
@@ -21,6 +22,13 @@ from statesum import (
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
+# sha256 of each seed-1 job's output. A change that alters outputs on purpose updates
+# the pin in the same diff; any other change keeps these bytes.
+OUTPUT_SHA256 = {
+    "eval-exact": "a1b3145fc2453b824fc54cf2e1bfe76b96e13b9be2e039fd3cdc2dace5fcbd95",
+    "eval-noisy": "4ceb77019710078283d7df86b78378978121c87f18dbe2a2bc0031a314055e10",
+    "export-md": "3a61f0944148c78b5f544a34913cee3c0091be1c2c34d2442a8c931dff1375f3",
+}
 
 
 def _load(name, monkeypatch):
@@ -60,7 +68,7 @@ def test_generated_workload_passes_the_benchmark_check(tmp_path, monkeypatch, wo
         split = sample_fewshot(corpus, "md", ratio=1.0, seed=1)
         written = export_training_file(split, corpus, ont, cfg, tmp_path / "labels.jsonl", skipped)
         verdict = check.check_export(tmp_path, expected, ont, cfg, written, len(skipped))
-        assert written and skipped
+        assert (written, len(skipped)) == (14646, 71)
         # check_export reads no history: rebuild each from the raw log, without the library.
         with open(tmp_path / "corpus" / "data.json", encoding="utf-8") as handle:
             texts = {
@@ -78,3 +86,5 @@ def test_generated_workload_passes_the_benchmark_check(tmp_path, monkeypatch, wo
         verdict = check.check_eval(ROOT, tmp_path, expected, ont)
         assert verdict.attempted == 5000
     assert verdict.correct, verdict.problems[:5]
+    output = tmp_path / ("labels.jsonl" if workload == "export-md" else "report.json")
+    assert hashlib.sha256(output.read_bytes()).hexdigest() == OUTPUT_SHA256[workload]
