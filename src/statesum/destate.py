@@ -41,28 +41,26 @@ class _SlotRule:
 
 
 def _slot_rule(spec: SlotSpec) -> _SlotRule:
-    """Invert one slot's phrase template."""
+    """Invert one slot's phrase template from the pieces the loader split."""
     if spec.is_boolean:
         return _SlotRule(spec.slot_name, boolean=(" " + spec.phrase_no, " " + spec.phrase_yes))
-    head, after = spec.phrase_template.split("{v}")
-    ends = tuple(after.replace("{unit}", u) for u in (spec.unit_singular, spec.unit_plural))
+    prefix = " " + spec.head + ("a" if spec.article else "")
     if spec.value_kind == "count":
-        prefix = " " + head.replace("{a}", "a")  # digits always take "a"
-        # Match only what the singular and plural unit words share.
-        unit = after.replace("{unit}", os.path.commonprefix([spec.unit_singular, spec.unit_plural]))
-        counted = re.compile(re.escape(prefix) + r"(\d+)" + re.escape(unit))
-        return _SlotRule(spec.slot_name, prefix, ends, counted=counted)
-    return _SlotRule(spec.slot_name, " " + head.replace("{a} ", "a"), ends, article="{a}" in head)
+        prefix += " " if spec.article else ""  # digits always take "a ", never "an "
+        shared = os.path.commonprefix(spec.ends)  # match only what both unit forms' ends share
+        counted = re.compile(re.escape(prefix) + r"(\d+)" + re.escape(shared))
+        return _SlotRule(spec.slot_name, prefix, spec.ends, counted=counted)
+    return _SlotRule(spec.slot_name, prefix, spec.ends, article=spec.article)
 
 
 class StateExtractor:
     """Parser for one ontology, with parse/probe counters.
 
-    Every rule is read off the slot templates when the extractor is built: a
-    slot's value follows the template text before ``{v}``, and it ends at the
-    first phrase that any template puts before or after a value, or at one of
-    the renderer's joiners (``", which "``, ``" and "``, the conjunction). The
-    sentence frame comes from ``summarize``'s constants, which the renderer writes.
+    Every rule is read off the pieces the loader split each slot template into,
+    the same ones the renderer joins: a slot's value follows its ``head``, and ends
+    at the first ``head`` or ``ends`` text of any slot, or at one of the renderer's
+    joiners (``", which "``, ``" and "``, the conjunction). The sentence frame
+    comes from ``summarize``'s constants, which the renderer writes.
     One grammar reads all four natural variants: every subject, and dontcare in
     the domain's sentence or in one of its own. The parser keeps one record per
     domain: its noun phrase without the leading "a " or "an ", which marks the

@@ -81,17 +81,18 @@ class TemplateConfig:
 
 @dataclass(frozen=True)
 class SlotSpec:
-    """One slot: its sentence phrase, value kind, and dontcare noun."""
+    """One slot: its template split once at ``{v}`` into the pieces both the renderer
+    and the parser read, its value kind, and its dontcare noun."""
 
     slot_name: str
     domain: str
-    phrase_template: str
     dontcare_noun: str
     value_kind: str
     clause: bool = False
     front_when_an: bool = False
-    unit_singular: str = ""
-    unit_plural: str = ""
+    head: str = ""  # template text before {v}, without a final "{a} "
+    article: bool = False  # the template had "{a} " directly before {v}
+    ends: tuple[str, str] = ("", "")  # text after {v} with the singular, then plural unit
     phrase_yes: str = ""
     phrase_no: str = ""
 
@@ -173,6 +174,8 @@ def _parse_slot(domain_name: str, slot_name: str, raw: dict) -> SlotSpec:
         raise SchemaError(f"slot {slot_name!r}: unit must be a list of two non-empty strings")
 
     template = raw.get("template", "")
+    head, _, after = template.partition("{v}")
+    head, article = head.removesuffix("{a} "), head.endswith("{a} ")
     if kind == "boolean_yes_no":
         if not raw.get("phrase_yes") or not raw.get("phrase_no"):
             raise SchemaError(f"slot {slot_name!r}: boolean slot needs phrase_yes/phrase_no")
@@ -187,32 +190,31 @@ def _parse_slot(domain_name: str, slot_name: str, raw: dict) -> SlotSpec:
             ) from None
         if template.count("{v}") != 1:
             raise SchemaError(f"slot {slot_name!r}: template must contain exactly one {{v}} hole")
-        # The parser finds a value by the literal text before it.
-        literal = template.split("{v}")[0].removesuffix("{a} ")
-        if not literal.strip() or "{" in literal:
+        if not head.strip() or "{" in head or "}" in head:  # the parser finds a value by it
             raise SchemaError(
                 f"slot {slot_name!r}: template needs literal text before {{v}}, "
                 "optionally ending in '{a} '"
             )
-    if kind == "count" and "{unit}" in template and "unit" not in raw:
-        raise SchemaError(f"slot {slot_name!r}: count slot needs unit [singular, plural]")
+        if set("{}") & set(after.replace("{unit}", "")):  # no {a}, nor "{{" that renders as "{"
+            raise SchemaError(f"slot {slot_name!r}: text after {{v}} holds no brace but {{unit}}")
+    if "{unit}" in template and "unit" not in raw:
+        raise SchemaError(f"slot {slot_name!r}: {{unit}} hole needs unit [singular, plural]")
 
     spec = SlotSpec(
         slot_name=slot_name,
         domain=domain_name,
-        phrase_template=template,
         dontcare_noun=raw.get("dontcare_noun", ""),
         value_kind=kind,
         clause=raw.get("clause", False),
         front_when_an=raw.get("front_when_an", False),
-        unit_singular=unit[0],
-        unit_plural=unit[1],
+        head=head,
+        article=article,
+        ends=tuple(after.replace("{unit}", u) for u in unit),
         phrase_yes=raw.get("phrase_yes", ""),
         phrase_no=raw.get("phrase_no", ""),
     )
     # The parser reads slot phrases up to the first '.', where the renderer ends a sentence.
-    for phrase in (spec.phrase_template, spec.unit_singular, spec.unit_plural, spec.phrase_yes,
-                   spec.phrase_no, spec.dontcare_noun):
+    for phrase in (template, *unit, spec.phrase_yes, spec.phrase_no, spec.dontcare_noun):
         if "." in phrase:
             raise SchemaError(f"slot {slot_name!r}: phrase {phrase!r} contains '.'")
     if " and " in f" {spec.dontcare_noun} ":  # the parser splits a dontcare list at " and "
@@ -262,11 +264,13 @@ def _build_ontology(doc: dict) -> Ontology:
     raw_pools = doc.get("value_pools") or {}
     if not isinstance(raw_pools, dict) or not all(isinstance(vs, list) for vs in raw_pools.values()):
         raise SchemaError("value_pools must map slot names to lists")
-    pools = {str(k): [str(v) for v in vs] for k, vs in raw_pools.items()}
+    pools = {str(k): vs for k, vs in raw_pools.items()}
     ontology = Ontology(domains=domains, value_pools=pools)
-    for slot_name in pools:
+    for slot_name, values in pools.items():
         if not ontology.has_slot(slot_name):
             raise SchemaError(f"value pool for unknown slot {slot_name!r}")
+        if not all(type(v) is str for v in values):  # a blank, list or yes would be drawn as text
+            raise SchemaError(f"value pool for slot {slot_name!r}: entries must be strings")
     return ontology
 
 

@@ -44,8 +44,8 @@ def _subject(position: int, paraphrasing: bool) -> str:
 def render_slot_phrase(spec: SlotSpec, value: str) -> str:
     """Render one slot-value pair into its sentence phrase.
 
-    Handles a/an articles, singular/plural unit words, and yes/no phrasing.
-    Dontcare is a sentence-level suffix, not a phrase, so it is rejected here.
+    Joins the loader's template pieces around the value, with its a/an and unit word,
+    or takes a boolean's yes/no phrase. Dontcare is a sentence suffix, so it is rejected.
     """
     if value is None or value == DONTCARE:
         raise ValueError(f"{spec.slot_name}: dontcare/none has no slot phrase")
@@ -55,9 +55,8 @@ def render_slot_phrase(spec: SlotSpec, value: str) -> str:
         if value == "no":
             return spec.phrase_no
         raise ValueError(f"{spec.slot_name}: boolean slot takes yes/no, got {value!r}")
-    return spec.phrase_template.format(
-        v=value, a=article_for(value), unit=spec.unit_singular if value == "1" else spec.unit_plural
-    )
+    article = f"{article_for(value)} " if spec.article else ""
+    return f"{spec.head}{article}{value}{spec.ends[value != '1']}"
 
 
 def render_domain_sentence(

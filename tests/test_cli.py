@@ -319,6 +319,24 @@ def test_fuzz_failure_names_slot_and_terminator(monkeypatch, capsys, tmp_path):
     assert "restaurant-name: 'milk and honey' reads back as 'milk' (cut at 'and')" in failure
 
 
+@pytest.mark.parametrize("slot, template, code, message", [
+    ("hotel-book people", "for {v} {unit} in all", 0, "300/300 round-trips ok"),
+    ("hotel-name", "called {v} as {a} guest", 2,
+     "slot 'hotel-name': text after {v} holds no brace but {unit}"),
+    ("hotel-area", "located in the {v} {unit}", 2,
+     "slot 'hotel-area': {unit} hole needs unit [singular, plural]"),
+], ids=["text-after-unit", "article-after-value", "unit-without-unit"])
+def test_fuzz_over_a_custom_template(monkeypatch, capsys, tmp_path, slot, template, code, message):
+    # Each schema used to load and fail a share of the trials with no word on why.
+    doc = yaml.safe_load(resources.files("statesum.data").joinpath("multiwoz_en.yaml").read_text())
+    doc["domains"]["hotel"]["slots"][slot]["template"] = template
+    schema = tmp_path / "schema.yaml"
+    schema.write_text(yaml.safe_dump(doc, sort_keys=False))
+    got, out, err = _run(["--ontology", str(schema), "fuzz", "--trials", "300"], monkeypatch, capsys)
+    assert got == code, err
+    assert message in (out if code == 0 else err)
+
+
 def test_console_script_entry_point():
     import os
     import subprocess

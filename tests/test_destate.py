@@ -309,8 +309,7 @@ def _template_words(ont):
     """Every word the renderer writes around a value, without punctuation."""
     phrases = [*SUBJECTS, CONJUNCTION, DONTCARE_MARKER, "which", "and"]
     for spec in ont.all_slots():
-        phrases += [spec.phrase_template, spec.unit_singular, spec.unit_plural,
-                    spec.phrase_yes, spec.phrase_no]
+        phrases += [spec.head, *spec.ends, spec.phrase_yes, spec.phrase_no]
     words = {word.strip(",.") for phrase in phrases for word in phrase.split()}
     return sorted(word for word in words if word and "{" not in word)
 

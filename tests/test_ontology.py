@@ -20,7 +20,7 @@ from statesum import (
     validate_state,
 )
 
-from statesum.ontology import differing_slots
+from statesum.ontology import article_for, differing_slots
 
 from conftest import collisions_of
 
@@ -86,7 +86,7 @@ domains:
     slots:
       restaurant-book people:
         kind: count
-        template: "seating {v} {unit}"
+        template: "seating {v} {unit} in all"
         unit: [guest, guests]
         dontcare_noun: the party size
       restaurant-food: {template: "cooking {v} dishes", dontcare_noun: the cuisine}
@@ -123,6 +123,27 @@ def test_custom_schema_round_trips(tmp_path):
         "attraction-name: 'house near the river' reads back as 'house' (cut at 'near the')",
         "attraction-area: None reads back as 'river'",
     ]
+
+
+@pytest.mark.parametrize("text", [
+    resources.files("statesum.data").joinpath("multiwoz_en.yaml").read_text(), CUSTOM_SCHEMA
+], ids=["builtin", "custom"])
+def test_template_pieces_reproduce_the_template(tmp_path, text):
+    # The loader splits each template once; joining its pieces must give what the
+    # template itself formats to, read from the YAML document rather than the spec.
+    path = tmp_path / "schema.yaml"
+    path.write_text(text)
+    ont = load_ontology(path)
+    for domain in yaml.safe_load(text)["domains"].values():
+        for slot_name, raw in domain["slots"].items():
+            if "template" not in raw:
+                continue
+            singular, plural = raw.get("unit", ("", ""))
+            for value in (*ont.value_pools[slot_name], "1", "8", "orchard"):
+                expected = raw["template"].format(
+                    v=value, a=article_for(value), unit=singular if value == "1" else plural
+                )
+                assert render_slot_phrase(ont.slot(slot_name), value) == expected
 
 
 @pytest.mark.parametrize(
@@ -181,6 +202,27 @@ def test_invalid_yaml_rejected(tmp_path):
     path = tmp_path / "schema.yaml"
     path.write_text("domains: [unclosed\n")
     with pytest.raises(SchemaError, match="YAML"):
+        load_ontology(path)
+
+
+@pytest.mark.parametrize("slot, template, message", [
+    ("hotel-area", "located in the {v} {unit}",
+     "slot 'hotel-area': {unit} hole needs unit [singular, plural]"),
+    ("hotel-name", "called {v} as {a} guest",
+     "slot 'hotel-name': text after {v} holds no brace but {unit}"),
+    ("hotel-name", "called {v} {{guest}}",
+     "slot 'hotel-name': text after {v} holds no brace but {unit}"),
+    ("hotel-name", "called }} {v}", "slot 'hotel-name': template needs literal text before {v}"),
+], ids=["unit-without-unit", "article-after-value", "escaped-brace-after", "escaped-brace-before"])
+def test_template_hole_out_of_place_rejected(tmp_path, slot, template, message):
+    # These loaded before: an empty unit word made the space after every value a
+    # terminator, "{a}" after the value rendered "an" where the parser read "{a}",
+    # and an escaped brace rendered as one brace where the parser looked for two.
+    doc = yaml.safe_load(resources.files("statesum.data").joinpath("multiwoz_en.yaml").read_text())
+    doc["domains"]["hotel"]["slots"][slot]["template"] = template
+    path = tmp_path / "schema.yaml"
+    path.write_text(yaml.safe_dump(doc, sort_keys=False))
+    with pytest.raises(SchemaError, match=re.escape(message)):
         load_ontology(path)
 
 
@@ -248,11 +290,13 @@ def test_boolean_no_phrase_inside_its_yes_phrase_rejected(tmp_path, phrase_yes, 
     (("domains", "hotel", "slots", "hotel-parking"), "phrase_yes", True,
      "slot 'hotel-parking': phrase_yes must be a string"),
     (("domains", "train"), "noun_phrase", 7, "domain 'train': noun_phrase must be a nonempty string"),
+    (("value_pools",), "attraction-name", [None, ["a", "b"], True],
+     "value pool for slot 'attraction-name': entries must be strings"),
 ], ids=["position", "match", "detect_phrase", "noun_phrse", "value_pool", "blank-dontcare_noun",
-        "list-dontcare_noun", "bool-phrase_yes", "int-noun_phrase"])
+        "list-dontcare_noun", "bool-phrase_yes", "int-noun_phrase", "non-string-value_pools"])
 def test_removed_or_misspelt_key_rejected(tmp_path, where, key, value, message):
     # A key the loader does not read would be silently ignored, at every level, and a
-    # phrase that is not a string would be rendered as its str(): "None", "True".
+    # phrase or pool value that is not a string would be used as its str(): "None", "True".
     doc = yaml.safe_load(resources.files("statesum.data").joinpath("multiwoz_en.yaml").read_text())
     entry = doc
     for step in where:
