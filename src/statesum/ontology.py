@@ -8,6 +8,7 @@ value for; an unmentioned slot is simply absent from the dict.
 from __future__ import annotations
 
 import random
+import re
 from collections.abc import Hashable
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -22,16 +23,17 @@ DONTCARE = "dontcare"
 
 DOMAIN_NAMES = ("attraction", "hotel", "restaurant", "taxi", "train")
 
-VALUE_KINDS = (
-    "free_text",
-    "time_hhmm",
-    "count",
-    "day_of_week",
-    "boolean_yes_no",
-)
+# The keys each kind takes: a boolean renders its yes/no phrases, any other kind its template.
+_SLOT_KEYS = dict.fromkeys(("free_text", "time_hhmm", "count", "day_of_week"),
+                           ("kind", "template", "unit", "clause", "front_when_an", "dontcare_noun"))
+_SLOT_KEYS["boolean_yes_no"] = ("kind", "phrase_yes", "phrase_no", "clause", "dontcare_noun")
+VALUE_KINDS = tuple(_SLOT_KEYS)
 
-_SLOT_KEYS = ("kind", "template", "unit", "phrase_yes", "phrase_no", "clause", "front_when_an",
-              "dontcare_noun")
+# A slot template, split into the pieces both the renderer and the parser read.
+_TEMPLATE = re.compile(
+    r"(?P<head>\s*[^{}\s][^{}]*)(?P<article>\{a\} )?\{v\}(?P<after>(?:[^{}]|\{unit\})*)"
+)
+_GRAMMAR = "literal text, an optional '{a} ', '{v}', then text whose only hole is '{unit}'"
 
 #: A dialogue state: slot name -> literal value or DONTCARE.
 DialogueState = dict[str, str]
@@ -150,8 +152,11 @@ class Ontology:
 def _parse_slot(domain_name: str, slot_name: str, raw: dict) -> SlotSpec:
     if not isinstance(raw, dict):
         raise SchemaError(f"slot {slot_name!r}: expected a mapping")
-    if unknown := [str(key) for key in raw if key not in _SLOT_KEYS]:  # a misspelt key fails
-        raise SchemaError(f"slot {slot_name!r}: unknown key(s) {', '.join(unknown)}")
+    kind = raw.get("kind", "free_text")
+    if kind not in VALUE_KINDS:
+        raise SchemaError(f"slot {slot_name!r}: unknown kind {kind!r}")
+    if unknown := [str(key) for key in raw if key not in _SLOT_KEYS[kind]]:  # misspelt or unread
+        raise SchemaError(f"slot {slot_name!r}: unknown key(s) {', '.join(unknown)} for {kind}")
     if not slot_name.startswith(domain_name + "-") or len(slot_name) <= len(domain_name) + 1:
         raise SchemaError(
             f"slot {slot_name!r}: name must have the form '{domain_name}-<slot>'"
@@ -159,12 +164,11 @@ def _parse_slot(domain_name: str, slot_name: str, raw: dict) -> SlotSpec:
     # The flat format splits at ", " and an entry at its last " as ".
     if "," in slot_name or " as " in f" {slot_name[len(domain_name) + 1:]} ":
         raise SchemaError(f"slot {slot_name!r}: name must not hold ',' or the word 'as'")
-    kind = raw.get("kind", "free_text")
-    if kind not in VALUE_KINDS:
-        raise SchemaError(f"slot {slot_name!r}: unknown kind {kind!r}")
     for key in ("clause", "front_when_an"):
         if type(raw.get(key, False)) is not bool:
             raise SchemaError(f"slot {slot_name!r}: {key} must be true or false")
+    if raw.get("clause") and raw.get("front_when_an"):  # the renderer puts a clause last
+        raise SchemaError(f"slot {slot_name!r}: front_when_an is never read beside clause: true")
     for key in ("template", "phrase_yes", "phrase_no", "dontcare_noun"):
         if type(raw.get(key, "")) is not str:  # a blank, list or yes would be stored as text
             raise SchemaError(f"slot {slot_name!r}: {key} must be a string")
@@ -174,31 +178,17 @@ def _parse_slot(domain_name: str, slot_name: str, raw: dict) -> SlotSpec:
         raise SchemaError(f"slot {slot_name!r}: unit must be a list of two non-empty strings")
 
     template = raw.get("template", "")
-    head, _, after = template.partition("{v}")
-    head, article = head.removesuffix("{a} "), head.endswith("{a} ")
+    match = _TEMPLATE.fullmatch(template)  # a boolean has no template, so no match
     if kind == "boolean_yes_no":
         if not raw.get("phrase_yes") or not raw.get("phrase_no"):
             raise SchemaError(f"slot {slot_name!r}: boolean slot needs phrase_yes/phrase_no")
         if f" {raw['phrase_no']}" in f" {raw['phrase_yes']}":  # the parser probes "no" first
             raise SchemaError(f"slot {slot_name!r}: phrase_no must not occur in phrase_yes")
-    else:
-        try:  # the renderer fills these holes only; a stray brace fails too
-            template.format(v="", a="", unit="")
-        except (AttributeError, IndexError, KeyError, ValueError):
-            raise SchemaError(
-                f"slot {slot_name!r}: template holes must be {{v}}, {{a}} or {{unit}}"
-            ) from None
-        if template.count("{v}") != 1:
-            raise SchemaError(f"slot {slot_name!r}: template must contain exactly one {{v}} hole")
-        if not head.strip() or "{" in head or "}" in head:  # the parser finds a value by it
-            raise SchemaError(
-                f"slot {slot_name!r}: template needs literal text before {{v}}, "
-                "optionally ending in '{a} '"
-            )
-        if set("{}") & set(after.replace("{unit}", "")):  # no {a}, nor "{{" that renders as "{"
-            raise SchemaError(f"slot {slot_name!r}: text after {{v}} holds no brace but {{unit}}")
-    if "{unit}" in template and "unit" not in raw:
-        raise SchemaError(f"slot {slot_name!r}: {{unit}} hole needs unit [singular, plural]")
+    elif not match:
+        raise SchemaError(f"slot {slot_name!r}: template {template!r} is not {_GRAMMAR}")
+    elif ("unit" in raw) != ("{unit}" in template):
+        raise SchemaError(f"slot {slot_name!r}: unit and a {{unit}} hole need each other")
+    head, article, after = match.groups() if match else ("", None, "")
 
     spec = SlotSpec(
         slot_name=slot_name,
@@ -208,7 +198,7 @@ def _parse_slot(domain_name: str, slot_name: str, raw: dict) -> SlotSpec:
         clause=raw.get("clause", False),
         front_when_an=raw.get("front_when_an", False),
         head=head,
-        article=article,
+        article=bool(article),
         ends=tuple(after.replace("{unit}", u) for u in unit),
         phrase_yes=raw.get("phrase_yes", ""),
         phrase_no=raw.get("phrase_no", ""),
@@ -231,9 +221,11 @@ def _parse_domain(domain_name: str, raw: dict) -> DomainSpec:
         raise SchemaError(f"domain {domain_name!r}: unknown key(s) {', '.join(unknown)}")
     if not isinstance(raw["slots"], dict):
         raise SchemaError(f"domain {domain_name!r}: slots must be a mapping")
-    if type(raw.get("noun_phrase")) is not str or not raw["noun_phrase"]:
-        raise SchemaError(f"domain {domain_name!r}: noun_phrase must be a nonempty string")
-    if "." in raw["noun_phrase"]:  # the parser reads a sentence up to its first '.'
+    noun_phrase = raw.get("noun_phrase")  # the parser finds a domain by it, without its a/an
+    if type(noun_phrase) is not str or not re.sub("^an? ", "", noun_phrase).strip():
+        raise SchemaError(f"domain {domain_name!r}: noun_phrase must be a nonempty string "
+                          "after its a/an")
+    if "." in noun_phrase:  # the parser reads a sentence up to its first '.'
         raise SchemaError(f"domain {domain_name!r}: noun_phrase contains '.'")
 
     slots = [_parse_slot(domain_name, str(name), entry) for name, entry in raw["slots"].items()]
@@ -243,7 +235,7 @@ def _parse_domain(domain_name: str, raw: dict) -> DomainSpec:
 
     return DomainSpec(
         domain_name=domain_name,
-        noun_phrase=raw["noun_phrase"],
+        noun_phrase=noun_phrase,
         slots=tuple(slots),
     )
 

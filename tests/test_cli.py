@@ -322,9 +322,10 @@ def test_fuzz_failure_names_slot_and_terminator(monkeypatch, capsys, tmp_path):
 @pytest.mark.parametrize("slot, template, code, message", [
     ("hotel-book people", "for {v} {unit} in all", 0, "300/300 round-trips ok"),
     ("hotel-name", "called {v} as {a} guest", 2,
-     "slot 'hotel-name': text after {v} holds no brace but {unit}"),
+     "slot 'hotel-name': template 'called {v} as {a} guest' is not literal text, an optional "
+     "'{a} ', '{v}', then text whose only hole is '{unit}'"),
     ("hotel-area", "located in the {v} {unit}", 2,
-     "slot 'hotel-area': {unit} hole needs unit [singular, plural]"),
+     "slot 'hotel-area': unit and a {unit} hole need each other"),
 ], ids=["text-after-unit", "article-after-value", "unit-without-unit"])
 def test_fuzz_over_a_custom_template(monkeypatch, capsys, tmp_path, slot, template, code, message):
     # Each schema used to load and fail a share of the trials with no word on why.
@@ -413,7 +414,8 @@ def test_schema_with_unknown_template_hole_exits_2(monkeypatch, capsys, tmp_path
         ["--ontology", str(schema), "synth"], monkeypatch, capsys, stdin=json.dumps(state)
     )
     assert code == 2
-    assert "'attraction-name': template holes must be {v}, {a} or {unit}" in err
+    assert (f"'attraction-name': template {template!r} is not literal text, an optional '{{a}} ', "
+            "'{v}', then text whose only hole is '{unit}'") in err
 
 
 _ATTRACTION_DOMAIN = (

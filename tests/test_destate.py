@@ -240,6 +240,13 @@ def test_builtin_schema_parser_patterns_are_pinned(ont):
     ]
 
 
+def test_builtin_slot_specs_are_pinned():
+    # Every field the renderer and the parser read off the built-in schema; a loader
+    # change that alters any of them is a deliberate one.
+    digest = hashlib.sha256(repr(default_ontology().all_slots()).encode()).hexdigest()
+    assert digest == "afe3de844f3603f2391aafd44573ad84bb3ee366812c9bb2138ad2527dcd182c"
+
+
 def test_reserved_collisions(ont):
     issues = collisions_of({"restaurant-name": "milk and honey"}, ont)
     assert issues and "and" in issues[0]

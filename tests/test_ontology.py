@@ -20,9 +20,11 @@ from statesum import (
     validate_state,
 )
 
-from statesum.ontology import article_for, differing_slots
+from statesum.ontology import _parse_slot, article_for, differing_slots
 
 from conftest import collisions_of
+
+GRAMMAR = "literal text, an optional '{a} ', '{v}', then text whose only hole is '{unit}'"
 
 MINIMAL_SCHEMA = """
 domains:
@@ -146,6 +148,32 @@ def test_template_pieces_reproduce_the_template(tmp_path, text):
                 assert render_slot_phrase(ont.slot(slot_name), value) == expected
 
 
+_TEMPLATE_TOKENS = st.sampled_from(["x", "o", " ", ".", "{", "}", "{v}", "{a} ", "{unit}"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(template=st.one_of(
+    st.lists(_TEMPLATE_TOKENS, max_size=8).map("".join),
+    st.tuples(st.lists(_TEMPLATE_TOKENS, max_size=3), st.sampled_from(["", "{a} "]),
+              st.lists(_TEMPLATE_TOKENS, max_size=3))
+    .map(lambda t: "in " + "".join(t[0]) + t[1] + "{v}" + "".join(t[2])),
+), with_unit=st.booleans())
+def test_template_pieces_reproduce_any_template(template, with_unit):
+    # Whatever a schema writes, the loader either rejects the template or splits it into
+    # pieces that join to what the template itself formats to.
+    raw = {"template": template, "dontcare_noun": "the name"}
+    if with_unit:
+        raw["unit"] = ["pie", "pies"]
+    try:
+        spec = _parse_slot("hotel", "hotel-name", raw)
+    except SchemaError:
+        return
+    for value in ("x", "apple", "1", "8"):
+        unit = ("pie" if value == "1" else "pies") if with_unit else ""
+        expected = template.format(v=value, a=article_for(value), unit=unit)
+        assert render_slot_phrase(spec, value) == expected
+
+
 @pytest.mark.parametrize(
     "type_position, name_position",
     [("1", "0"), ("abc", "1"), ("0.0", "1"), ("true", "1"), ("null", "1")],
@@ -175,7 +203,8 @@ def test_template_without_literal_head_rejected(tmp_path):
     path = tmp_path / "schema.yaml"
     for template in ("{v} hall", "in {a} big {v}"):
         path.write_text(MINIMAL_SCHEMA.replace("called {v}", template))
-        with pytest.raises(SchemaError, match="literal text before"):
+        message = f"slot 'attraction-name': template {template!r} is not {GRAMMAR}"
+        with pytest.raises(SchemaError, match=re.escape(message)):
             load_ontology(path)
 
 
@@ -207,12 +236,13 @@ def test_invalid_yaml_rejected(tmp_path):
 
 @pytest.mark.parametrize("slot, template, message", [
     ("hotel-area", "located in the {v} {unit}",
-     "slot 'hotel-area': {unit} hole needs unit [singular, plural]"),
+     "slot 'hotel-area': unit and a {unit} hole need each other"),
     ("hotel-name", "called {v} as {a} guest",
-     "slot 'hotel-name': text after {v} holds no brace but {unit}"),
+     "slot 'hotel-name': template 'called {v} as {a} guest' is not " + GRAMMAR),
     ("hotel-name", "called {v} {{guest}}",
-     "slot 'hotel-name': text after {v} holds no brace but {unit}"),
-    ("hotel-name", "called }} {v}", "slot 'hotel-name': template needs literal text before {v}"),
+     "slot 'hotel-name': template 'called {v} {{guest}}' is not " + GRAMMAR),
+    ("hotel-name", "called }} {v}",
+     "slot 'hotel-name': template 'called }} {v}' is not " + GRAMMAR),
 ], ids=["unit-without-unit", "article-after-value", "escaped-brace-after", "escaped-brace-before"])
 def test_template_hole_out_of_place_rejected(tmp_path, slot, template, message):
     # These loaded before: an empty unit word made the space after every value a
@@ -229,7 +259,8 @@ def test_template_hole_out_of_place_rejected(tmp_path, slot, template, message):
 def test_bad_template_rejected(tmp_path):
     path = tmp_path / "schema.yaml"
     path.write_text(MINIMAL_SCHEMA.replace("called {v}", "called {v} or {v}"))
-    with pytest.raises(SchemaError, match="exactly one"):
+    message = "slot 'attraction-name': template 'called {v} or {v}' is not " + GRAMMAR
+    with pytest.raises(SchemaError, match=re.escape(message)):
         load_ontology(path)
 
 
@@ -292,11 +323,28 @@ def test_boolean_no_phrase_inside_its_yes_phrase_rejected(tmp_path, phrase_yes, 
     (("domains", "train"), "noun_phrase", 7, "domain 'train': noun_phrase must be a nonempty string"),
     (("value_pools",), "attraction-name", [None, ["a", "b"], True],
      "value pool for slot 'attraction-name': entries must be strings"),
+    (("domains", "hotel", "slots", "hotel-parking"), "template", "with parking {v}",
+     "slot 'hotel-parking': unknown key(s) template for boolean_yes_no"),
+    (("domains", "hotel", "slots", "hotel-parking"), "unit", ["space", "spaces"],
+     "slot 'hotel-parking': unknown key(s) unit for boolean_yes_no"),
+    (("domains", "hotel", "slots", "hotel-parking"), "front_when_an", True,
+     "slot 'hotel-parking': unknown key(s) front_when_an for boolean_yes_no"),
+    (("domains", "hotel", "slots", "hotel-area"), "phrase_yes", "is central",
+     "slot 'hotel-area': unknown key(s) phrase_yes for free_text"),
+    (("domains", "hotel", "slots", "hotel-book day"), "phrase_no", "is not booked",
+     "slot 'hotel-book day': unknown key(s) phrase_no for day_of_week"),
+    (("domains", "hotel", "slots", "hotel-area"), "unit", ["zone", "zones"],
+     "slot 'hotel-area': unit and a {unit} hole need each other"),
+    (("domains", "restaurant", "slots", "restaurant-food"), "front_when_an", True,
+     "slot 'restaurant-food': front_when_an is never read beside clause: true"),
 ], ids=["position", "match", "detect_phrase", "noun_phrse", "value_pool", "blank-dontcare_noun",
-        "list-dontcare_noun", "bool-phrase_yes", "int-noun_phrase", "non-string-value_pools"])
+        "list-dontcare_noun", "bool-phrase_yes", "int-noun_phrase", "non-string-value_pools",
+        "boolean-template", "boolean-unit", "boolean-front_when_an", "value-phrase_yes",
+        "value-phrase_no", "unit-without-hole", "clause-front_when_an"])
 def test_removed_or_misspelt_key_rejected(tmp_path, where, key, value, message):
-    # A key the loader does not read would be silently ignored, at every level, and a
-    # phrase or pool value that is not a string would be used as its str(): "None", "True".
+    # A key the loader does not read would be silently ignored, at every level: a
+    # misspelt key, one its kind does not render, a unit with no {unit} hole, or a fronted
+    # clause. A phrase or pool value that is not a string would be used as its str().
     doc = yaml.safe_load(resources.files("statesum.data").joinpath("multiwoz_en.yaml").read_text())
     entry = doc
     for step in where:
@@ -320,6 +368,19 @@ def test_slot_name_holding_a_comma_or_the_word_as_rejected(tmp_path, name):
     path = tmp_path / "schema.yaml"
     path.write_text(yaml.safe_dump(doc, sort_keys=False))
     message = f"slot {name!r}: name must not hold ',' or the word 'as'"
+    with pytest.raises(SchemaError, match=re.escape(message)):
+        load_ontology(path)
+
+
+@pytest.mark.parametrize("noun_phrase", ["a ", "an ", "a  "])
+def test_noun_phrase_of_only_an_article_rejected(tmp_path, noun_phrase):
+    # The parser finds a domain by its noun phrase without its "a "/"an ", and an empty
+    # phrase claimed every fragment: a hotel render read back with an extra taxi slot.
+    doc = yaml.safe_load(resources.files("statesum.data").joinpath("multiwoz_en.yaml").read_text())
+    doc["domains"]["taxi"]["noun_phrase"] = noun_phrase
+    path = tmp_path / "schema.yaml"
+    path.write_text(yaml.safe_dump(doc, sort_keys=False))
+    message = "domain 'taxi': noun_phrase must be a nonempty string after its a/an"
     with pytest.raises(SchemaError, match=re.escape(message)):
         load_ontology(path)
 
