@@ -164,10 +164,9 @@ def _cmd_sample(args, ontology) -> int:
 
 def _cmd_export(args, ontology) -> int:
     corpus, split = _split_from(args)
-    written = export_training_file(split, corpus, ontology, _config_from(args), args.out)
-    by_id = corpus.dialogue_map()
-    turns = sum(len(by_id[did].states) for did in {*split.pretrain_ids, *split.finetune_ids})
-    print(f"wrote {written} records to {args.out} ({turns - written} turns skipped)")
+    skipped: list[str] = []
+    written = export_training_file(split, corpus, ontology, _config_from(args), args.out, skipped)
+    print(f"wrote {written} records to {args.out} ({len(skipped)} turns skipped)")
     return EXIT_OK
 
 

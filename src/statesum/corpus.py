@@ -441,10 +441,11 @@ def export_training_file(
     A turn is written only if its label parses back to its state under ``cfg``
     (see ``reserved_collisions``); other turns are skipped and reported rather
     than written corrupted. A dialogue with a state the schema rejects is
-    skipped whole, with one diagnostic naming the violations.
+    skipped whole. Each unwritten turn gets one diagnostic, ``<id>/<i>: skipped``.
     Returns the number of records written; on failure no partial file is left.
     """
     diags = diagnostics if diagnostics is not None else []
+    before = len(diags)
     by_id = corpus.dialogue_map()
     roles = {did: "pretrain" for did in split.pretrain_ids}
     roles.update({did: "finetune" for did in split.finetune_ids})
@@ -459,7 +460,8 @@ def export_training_file(
             try:
                 labels = synthesize_labels(dialogue, ontology, cfg, split.seed)
             except StateValidationError as exc:
-                diags.append(f"{dialogue_id}: skipped, {exc}")
+                diags.extend(f"{dialogue_id}/{index}: skipped with its dialogue, {exc}"
+                             for index in range(len(dialogue.states)))
                 continue
             previous_state = previous_label = None
             for index, (state, label) in enumerate(zip(dialogue.states, labels)):
@@ -480,9 +482,8 @@ def export_training_file(
                 }
                 handle.write(json.dumps(record, ensure_ascii=False) + "\n")
                 written += 1
-    skipped = sum(len(by_id[did].states) for did in roles) - written
-    if skipped > 0:
-        log.info("export skipped %d turns", skipped)
+    if len(diags) > before:
+        log.info("export skipped %d turns", len(diags) - before)
     return written
 
 

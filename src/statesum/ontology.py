@@ -252,6 +252,10 @@ def _build_ontology(doc: dict) -> Ontology:
         raise SchemaError("domains must be a mapping")
 
     domains = {str(name): _parse_domain(str(name), raw) for name, raw in raw_domains.items()}
+    phrases = {name: re.sub("^an? ", "", d.noun_phrase) for name, d in domains.items()}
+    for outer, inner in ((a, b) for a in phrases for b in phrases if a != b):
+        if phrases[inner] in phrases[outer]:  # the parser gives a sentence to every phrase in it
+            raise SchemaError(f"noun_phrase of domain {outer!r} holds that of domain {inner!r}")
 
     raw_pools = doc.get("value_pools") or {}
     if not isinstance(raw_pools, dict) or not all(isinstance(vs, list) for vs in raw_pools.values()):

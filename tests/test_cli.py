@@ -9,7 +9,7 @@ import yaml
 from statesum import cli
 from statesum.cli import run
 
-from conftest import FIXTURE_CORPUS
+from conftest import FIXTURE_CORPUS, write_off_schema_corpus
 import golden_data as gd
 
 
@@ -159,14 +159,8 @@ def test_export_then_eval(monkeypatch, capsys, tmp_path):
 
 def test_export_counts_every_turn_of_a_dialogue_the_schema_rejects(monkeypatch, capsys, tmp_path):
     # The off-schema slot "train-book trainid" rejects SNG0003 whole: one
-    # diagnostic, two turns; SNG0004's colliding turn is the third skip.
-    raw = json.loads((FIXTURE_CORPUS / "data.json").read_text())
-    raw["SNG0003.json"]["log"][3]["metadata"]["train"]["book"]["trainID"] = "TR1234"
-    corpus = tmp_path / "corpus"
-    corpus.mkdir()
-    (corpus / "data.json").write_text(json.dumps(raw))
-    for name in ("valListFile.json", "testListFile.json"):
-        (corpus / name).write_text((FIXTURE_CORPUS / name).read_text())
+    # diagnostic for each of its two turns; SNG0004's colliding turn is the third skip.
+    corpus = write_off_schema_corpus(tmp_path / "corpus")
     labels = tmp_path / "labels.jsonl"
     code, out, _ = _run(
         ["export", "--corpus", str(corpus), "--mode", "md",

@@ -2,6 +2,7 @@ import copy
 import gc
 import json
 import logging
+import re
 import time
 import tracemalloc
 import zipfile
@@ -32,7 +33,7 @@ from statesum.cli import run
 from statesum.destate import parse_summary, reserved_collisions
 from statesum.summarize import synthesize_labels
 
-from conftest import FIXTURE_CORPUS
+from conftest import FIXTURE_CORPUS, write_off_schema_corpus
 
 GOLDEN_EVAL = FIXTURE_CORPUS.parent / "golden_eval"
 
@@ -816,14 +817,8 @@ def test_export_rechecks_an_equal_state_in_another_key_order(ont, tmp_path):
 
 
 def test_export_skips_dialogue_with_off_schema_gold_slot(mini_corpus, ont, tmp_path):
-    # The loader keeps any raw semi/book key, so "trainID" loads as the
-    # off-schema slot "train-book trainid"; only that dialogue is left out.
-    raw = json.loads((FIXTURE_CORPUS / "data.json").read_text())
-    raw["SNG0003.json"]["log"][3]["metadata"]["train"]["book"]["trainID"] = "TR1234"
-    (tmp_path / "data.json").write_text(json.dumps(raw))
-    for name in ("valListFile.json", "testListFile.json"):
-        (tmp_path / name).write_text((FIXTURE_CORPUS / name).read_text())
-    corpus = load_multiwoz(tmp_path)
+    # Only the dialogue holding the off-schema slot is left out, one diagnostic per turn.
+    corpus = load_multiwoz(write_off_schema_corpus(tmp_path))
     split = sample_fewshot(corpus, "md", ratio=1.0, seed=11)
     assert "SNG0003.json" in split.finetune_ids
     baseline, baseline_diags = tmp_path / "baseline.jsonl", []
@@ -835,17 +830,21 @@ def test_export_skips_dialogue_with_off_schema_gold_slot(mini_corpus, ont, tmp_p
         if json.loads(line)["dialogue_id"] != "SNG0003.json"
     ]
     assert out.read_text().splitlines() == expected and written == len(expected)
-    assert len(diagnostics) == len(baseline_diags) + 1
+    assert len(diagnostics) == len(baseline_diags) + 2
     assert [d for d in diagnostics if d not in baseline_diags] == [
-        "SNG0003.json: skipped, unknown slot 'train-book trainid'"
+        f"SNG0003.json/{i}: skipped with its dialogue, unknown slot 'train-book trainid'"
+        for i in (0, 1)
     ]
 
 
-@pytest.mark.parametrize("cfg", [
+EXPORT_CONFIGS = pytest.mark.parametrize("cfg", [
     TemplateConfig(paraphrasing=p, dontcare_concat=c, domain_order=o)
     for p, c, o in ((True, True, "shuffled"), (False, True, "canonical"),
                     (True, False, "shuffled"), (False, False, "canonical"))
 ] + [TemplateConfig(naturalness=False)], ids=["tt", "ft", "tf", "ff", "flat"])
+
+
+@EXPORT_CONFIGS
 def test_export_writes_exactly_the_round_trips(mini_corpus, ont, tmp_path, cfg):
     split = sample_fewshot(mini_corpus, "md", ratio=1.0, seed=11)
     out = tmp_path / "labels.jsonl"
@@ -865,6 +864,35 @@ def test_export_writes_exactly_the_round_trips(mini_corpus, ont, tmp_path, cfg):
                 assert parsed.state != state or parsed.diagnostics, (dialogue_id, index)
     # The flat format has no " and " terminator, so the venue name survives there.
     assert (("SNG0004.json", 1) in written) == (not cfg.naturalness)
+
+
+@pytest.mark.parametrize("off_schema", [False, True], ids=["fixture", "off-schema"])
+@EXPORT_CONFIGS
+def test_export_names_each_unwritten_turn_once(ont, tmp_path, capsys, cfg, off_schema):
+    root = write_off_schema_corpus(tmp_path / "corpus") if off_schema else FIXTURE_CORPUS
+    corpus = load_multiwoz(root)
+    split = sample_fewshot(corpus, "md", ratio=1.0, seed=11)
+    out, diagnostics = tmp_path / "labels.jsonl", ["an earlier diagnostic"]
+    written = export_training_file(split, corpus, ont, cfg, out, diagnostics)
+    added = diagnostics[1:]
+    dialogues = corpus.dialogue_map()
+    states = {did: dialogues[did].states for did in (*split.pretrain_ids, *split.finetune_ids)}
+    assert written + len(added) == sum(map(len, states.values()))
+    named = set()
+    for diagnostic in added:
+        match = re.match(r"(.+)/(\d+): skipped", diagnostic)
+        assert match and match[1] in states, diagnostic
+        named.add((match[1], int(match[2])))
+    assert len(named) == len(added)
+    records = {(r["dialogue_id"], r["turn_index"])
+               for r in map(json.loads, out.read_text().splitlines())}
+    assert len(records) == written and not records & named
+    flags = (["--unnatural"] * (not cfg.naturalness) + ["--no-paraphrase"] * (not cfg.paraphrasing)
+             + ["--no-dontcare-concat"] * (not cfg.dontcare_concat))
+    assert run(["export", "--corpus", str(root), "--mode", "md", "--ratio", "1.0", "--seed", "11",
+                "--order", cfg.domain_order, "--out", str(tmp_path / "cli.jsonl"), *flags]) == 0
+    assert capsys.readouterr().out.endswith(f" ({len(added)} turns skipped)\n")
+    assert (tmp_path / "cli.jsonl").read_bytes() == out.read_bytes()
 
 
 def _doubled_archive(root):

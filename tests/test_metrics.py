@@ -302,6 +302,17 @@ def test_bleu_length_mismatch():
         bleu4(["a"], ["a", "b"])
 
 
+def test_metrics_of_zero_turns_raise(ont):
+    with pytest.raises(ValueError, match="slot accuracy is undefined for zero turns"):
+        slot_accuracy([], ont)
+    with pytest.raises(ValueError, match="BLEU is undefined for an empty corpus"):
+        bleu4([], [])
+
+
+def test_bleu_of_empty_candidates_is_zero():
+    assert bleu4([""], ["x"]) == 0.0
+
+
 # -- ROUGE ------------------------------------------------------------------------
 
 

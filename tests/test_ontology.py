@@ -20,7 +20,7 @@ from statesum import (
     validate_state,
 )
 
-from statesum.ontology import _parse_slot, article_for, differing_slots
+from statesum.ontology import _build_ontology, _parse_slot, article_for, differing_slots
 
 from conftest import collisions_of
 
@@ -383,6 +383,50 @@ def test_noun_phrase_of_only_an_article_rejected(tmp_path, noun_phrase):
     message = "domain 'taxi': noun_phrase must be a nonempty string after its a/an"
     with pytest.raises(SchemaError, match=re.escape(message)):
         load_ontology(path)
+
+
+@pytest.mark.parametrize("domain, noun_phrase, message", [
+    ("train", "a taxi or train", "noun_phrase of domain 'train' holds that of domain 'taxi'"),
+    ("taxi", "a stay", "noun_phrase of domain 'hotel' holds that of domain 'taxi'"),
+    ("taxi", "an attraction", "noun_phrase of domain 'attraction' holds that of domain 'taxi'"),
+], ids=["holds-another", "held-without-article", "equal"])
+def test_noun_phrase_holding_another_domains_rejected(tmp_path, domain, noun_phrase, message):
+    # The parser gives a sentence to every domain whose phrase it holds: a train render
+    # "a taxi or train to ely" read back with an extra taxi-destination.
+    doc = yaml.safe_load(resources.files("statesum.data").joinpath("multiwoz_en.yaml").read_text())
+    doc["domains"][domain]["noun_phrase"] = noun_phrase
+    path = tmp_path / "schema.yaml"
+    path.write_text(yaml.safe_dump(doc, sort_keys=False))
+    with pytest.raises(SchemaError, match=re.escape(message)):
+        load_ontology(path)
+
+
+def _hotel(slots: dict) -> dict:
+    return {"domains": {"hotel": {"noun_phrase": "a hotel", "slots": slots}}}
+
+
+_AREA = {"template": "in the {v}", "dontcare_noun": "the area"}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([], "schema root must be a mapping"),
+    ({"domains": {"hotel": {"noun_phrase": "a hotel"}}}, "domain 'hotel': missing slots"),
+    (_hotel({"hotel-area": "in the {v}"}), "slot 'hotel-area': expected a mapping"),
+    (_hotel({"taxi-area": _AREA}), "slot 'taxi-area': name must have the form 'hotel-<slot>'"),
+    (_hotel({"hotel-": _AREA}), "slot 'hotel-': name must have the form 'hotel-<slot>'"),
+    (_hotel({"hotel-parking": {"kind": "boolean_yes_no", "phrase_yes": "has parking"}}),
+     "slot 'hotel-parking': boolean slot needs phrase_yes/phrase_no"),
+    (_hotel({"hotel-area": _AREA, "hotel-name": {**_AREA, "template": "called {v}"}}),
+     "domain 'hotel': dontcare nouns must be unique and nonempty"),
+    (_hotel({"hotel-area": {"template": "in the {v}"}}),
+     "domain 'hotel': dontcare nouns must be unique and nonempty"),
+    ({**_hotel({"hotel-area": _AREA}), "value_pools": {"hotel-stars": ["4"]}},
+     "value pool for unknown slot 'hotel-stars'"),
+], ids=["root-list", "no-slots", "slot-string", "other-domain-slot", "empty-slot-name",
+        "boolean-without-no", "repeated-dontcare_noun", "no-dontcare_noun", "pool-unknown-slot"])
+def test_malformed_schema_rejected(doc, message):
+    with pytest.raises(SchemaError, match=re.escape(message)):
+        _build_ontology(doc)
 
 
 def test_unknown_domain_rejected(tmp_path):

@@ -20,6 +20,8 @@ from statesum import (
     sample_fewshot,
 )
 
+from conftest import write_off_schema_corpus
+
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
 # sha256 of each seed-1 job's output. A change that alters outputs on purpose updates
@@ -45,6 +47,15 @@ def test_trace_points_exist(monkeypatch):
     assert job.TRACE_POINTS
     for owner, attr, name in job.TRACE_POINTS:
         assert attr in owner.__dict__, (owner, attr, name)
+
+
+def test_export_job_counts_every_turn_of_a_dialogue_the_schema_rejects(tmp_path, monkeypatch):
+    # The md split holds 14 turns: SNG0003's two are rejected with their dialogue and
+    # SNG0004's colliding turn is skipped, so the job must not count 13.
+    job = _load("job", monkeypatch)
+    write_off_schema_corpus(tmp_path / "corpus")
+    result = job.run_export(tmp_path, default_ontology(), 11)
+    assert (result["turns"], result["written"], result["skipped"]) == (14, 11, 3)
 
 
 @pytest.mark.parametrize("workload", ["eval-noisy", "eval-exact", "export-md"])

@@ -95,6 +95,11 @@ def test_render_slot_phrase_rejects_dontcare(ont):
         render_slot_phrase(ont.slot("attraction-area"), DONTCARE)
 
 
+def test_render_slot_phrase_rejects_a_boolean_other_than_yes_no(ont):
+    with pytest.raises(ValueError, match="hotel-parking: boolean slot takes yes/no, got 'maybe'"):
+        render_slot_phrase(ont.slot("hotel-parking"), "maybe")
+
+
 def test_render_domain_sentence_attraction_golden(ont):
     sentence = render_domain_sentence(ont.domains["attraction"], dict(gd.ATTRACTION_STATE))
     assert sentence == gd.ATTRACTION_SUMMARY
@@ -182,6 +187,13 @@ def _dialogue(states):
 def test_synthesize_labels_empty_turn(ont):
     labels = synthesize_labels(_dialogue([{}]), ont)
     assert labels == [""]
+
+
+def test_synthesize_labels_rejects_a_state_that_is_not_a_mapping(ont):
+    # The shuffle check reads the state before the validator does; it must not raise TypeError.
+    dialogue = _dialogue([["hotel-area", "north"]])
+    with pytest.raises(StateValidationError, match="state must be a mapping"):
+        synthesize_labels(dialogue, ont, TemplateConfig(domain_order="shuffled"))
 
 
 def test_synthesize_labels_matches_renderer(ont):
